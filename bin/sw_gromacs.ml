@@ -209,45 +209,36 @@ let main particles steps variant_name platform_name dt temp seed domains
   | None -> ());
   let t0 = Unix.gettimeofday () in
   let sample_every = max 1 (steps / 10) in
-  let samples, st =
-    if not protected then
-      Swgmx.Engine.simulate_state ~cfg ~variant ~dt ~temp ~pipelined ~molecules
-        ~seed ~steps ~sample_every ()
-    else begin
-      (* protected run: the recovery loop checkpoints on the pair-list
-         cadence and rolls back on unrecoverable faults; each capture
-         overwrites the checkpoint file so a crash restarts from the
-         latest one *)
-      let write_ck ck =
-        match store_dir with
-        | Some _ ->
-            (* checkpoint through the store: the capture is chunked,
-               content-addressed (identical captures cost nothing) and
-               filed under the mutable head --store-name *)
-            Swgmx.Engine.checkpoint_sink (Lazy.force store_cache)
-              ~name:store_name ck
-        | None ->
-            let oc = open_out checkpoint_file in
-            output_string oc (Swio.Checkpoint.to_string ck);
-            close_out oc
-      in
-      let on_checkpoint =
-        if checkpoint_every <> None then Some write_ck else None
-      in
-      let samples, st, rstats =
-        Swgmx.Engine.simulate_protected ~cfg ~variant ~dt ~temp ~pipelined
-          ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed
-          ~steps ~sample_every ()
-      in
-      Fmt.pr "recovery: %a@." Swfault.Recovery.pp_stats rstats;
-      (match faults with
-      | Some inj ->
-          Fmt.pr "faults: %a@." Swfault.Injector.pp_stats
-            (Swfault.Injector.stats inj)
-      | None -> ());
-      (samples, st)
-    end
+  (* the recovery loop checkpoints on the pair-list cadence and rolls
+     back on unrecoverable faults; each capture overwrites the
+     checkpoint file so a crash restarts from the latest one *)
+  let write_ck ck =
+    match store_dir with
+    | Some _ ->
+        (* checkpoint through the store: the capture is chunked,
+           content-addressed (identical captures cost nothing) and
+           filed under the mutable head --store-name *)
+        Swgmx.Engine.checkpoint_sink (Lazy.force store_cache) ~name:store_name
+          ck
+    | None ->
+        let oc = open_out checkpoint_file in
+        output_string oc (Swio.Checkpoint.to_string ck);
+        close_out oc
   in
+  let on_checkpoint = if checkpoint_every <> None then Some write_ck else None in
+  let samples, st, rstats =
+    Swgmx.Engine.simulate_protected ~cfg ~variant ~dt ~temp ~pipelined ?faults
+      ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
+      ~sample_every ()
+  in
+  if protected then begin
+    Fmt.pr "recovery: %a@." Swfault.Recovery.pp_stats rstats;
+    match faults with
+    | Some inj ->
+        Fmt.pr "faults: %a@." Swfault.Injector.pp_stats
+          (Swfault.Injector.stats inj)
+    | None -> ()
+  end;
   Fmt.pr "@.%6s %16s %12s@." "step" "total E (kJ/mol)" "T (K)";
   List.iter
     (fun (s : Swgmx.Engine.sample) ->
@@ -255,9 +246,11 @@ let main particles steps variant_name platform_name dt temp seed domains
         s.Swgmx.Engine.temperature)
     samples;
   let plan = if overlap then Swstep.Plan.Overlap else Swstep.Plan.Serial in
-  (* the full-workflow step timeline (MPE phases + network track) comes
-     from the analytic engine: price the same system decomposed over a
-     few core groups so communication shows up on the trace *)
+  (* the step timeline (MPE phases + network track) does not come from
+     the dynamics above: trace_steps prices the first step of a freshly
+     built system of the same size, decomposed over 8 core groups so
+     communication shows up, and lays [steps] copies of that one step
+     end to end *)
   if tracing then
     ignore
       (Swgmx.Engine.trace_steps ~cfg ~version:Swgmx.Engine.V_other ~pipelined
@@ -359,7 +352,11 @@ let trace_file =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Record the run and export a Chrome trace_event JSON file.")
+        ~doc:
+          "Record the run and export a Chrome trace_event JSON file: the \
+           dynamics' kernel detail, then $(b,--steps) copies of one priced \
+           step of the same system over 8 core groups (Table-1 phases and \
+           communication; copies of one step, not consecutive MD steps).")
 
 let trace_summary =
   Arg.(

@@ -6,7 +6,6 @@ type t = {
   mutable coulomb_recip : float;  (** PME reciprocal + self + exclusions *)
   mutable bonded : float;  (** bonds + angles + dihedrals *)
   mutable kinetic : float;
-  mutable virial : float;  (** pair virial, sum over pairs of r.F *)
 }
 
 (** [create ()] is a zeroed record. *)
@@ -17,7 +16,6 @@ let create () =
     coulomb_recip = 0.0;
     bonded = 0.0;
     kinetic = 0.0;
-    virial = 0.0;
   }
 
 (** [reset t] zeroes all terms. *)
@@ -26,8 +24,7 @@ let reset t =
   t.coulomb_sr <- 0.0;
   t.coulomb_recip <- 0.0;
   t.bonded <- 0.0;
-  t.kinetic <- 0.0;
-  t.virial <- 0.0
+  t.kinetic <- 0.0
 
 (** [potential t] is the total potential energy. *)
 let potential t = t.lj +. t.coulomb_sr +. t.coulomb_recip +. t.bonded

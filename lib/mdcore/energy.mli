@@ -6,7 +6,6 @@ type t = {
   mutable coulomb_recip : float;  (** PME reciprocal + self + exclusions *)
   mutable bonded : float;  (** bonds + angles + dihedrals *)
   mutable kinetic : float;
-  mutable virial : float;  (** pair virial, sum over pairs of r.F *)
 }
 
 (** [create ()] is a zeroed record. *)

@@ -22,56 +22,3 @@ let step (state : Md_state.t) ~dt =
         (Fbuf.unsafe_get pos k +. (dt *. Fbuf.unsafe_get vel k))
     done
   done
-
-(** [velocity_verlet_positions state ~dt] is the first half of a
-    velocity-Verlet step: [v += f dt/2m] then [x += v dt].  Call
-    {!velocity_verlet_velocities} after recomputing forces. *)
-let velocity_verlet_positions (state : Md_state.t) ~dt =
-  if dt <= 0.0 then invalid_arg "Integrator.velocity_verlet_positions: dt";
-  let n = Md_state.n_atoms state in
-  let mass = state.Md_state.topo.Topology.mass in
-  let pos = state.Md_state.pos
-  and vel = state.Md_state.vel
-  and force = state.Md_state.force in
-  for i = 0 to n - 1 do
-    let half = 0.5 *. dt /. mass.(i) in
-    for d = 0 to 2 do
-      let k = (3 * i) + d in
-      Fbuf.unsafe_set vel k
-        (Fbuf.unsafe_get vel k +. (half *. Fbuf.unsafe_get force k));
-      Fbuf.unsafe_set pos k
-        (Fbuf.unsafe_get pos k +. (dt *. Fbuf.unsafe_get vel k))
-    done
-  done
-
-(** [velocity_verlet_velocities state ~dt] completes the step with the
-    forces at the new positions: [v += f dt/2m].  Velocities now live
-    at integer steps, unlike leapfrog's half steps. *)
-let velocity_verlet_velocities (state : Md_state.t) ~dt =
-  if dt <= 0.0 then invalid_arg "Integrator.velocity_verlet_velocities: dt";
-  let n = Md_state.n_atoms state in
-  let mass = state.Md_state.topo.Topology.mass in
-  let vel = state.Md_state.vel and force = state.Md_state.force in
-  for i = 0 to n - 1 do
-    let half = 0.5 *. dt /. mass.(i) in
-    for d = 0 to 2 do
-      let k = (3 * i) + d in
-      Fbuf.unsafe_set vel k
-        (Fbuf.unsafe_get vel k +. (half *. Fbuf.unsafe_get force k))
-    done
-  done
-
-(** [wrap_positions state] folds all positions back into the box.
-    Called after position updates so kernels may assume wrapped
-    coordinates. *)
-let wrap_positions (state : Md_state.t) =
-  let pos = state.Md_state.pos in
-  let box = state.Md_state.box in
-  let lx = box.Box.lx and ly = box.Box.ly and lz = box.Box.lz in
-  for i = 0 to Md_state.n_atoms state - 1 do
-    Fbuf.unsafe_set pos (3 * i) (Box.wrap1 (Fbuf.unsafe_get pos (3 * i)) lx);
-    Fbuf.unsafe_set pos ((3 * i) + 1)
-      (Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 1)) ly);
-    Fbuf.unsafe_set pos ((3 * i) + 2)
-      (Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 2)) lz)
-  done

@@ -1,19 +1,6 @@
-(** Time integration: leapfrog (GROMACS's default "md" integrator) and
-    velocity Verlet. *)
+(** Time integration: leapfrog, GROMACS's default "md" integrator. *)
 
 (** [step state ~dt] advances positions and velocities one leapfrog
     step using the current forces: [v(t+dt/2) = v(t-dt/2) + dt f(t)/m],
     [x(t+dt) = x(t) + dt v(t+dt/2)]. *)
 val step : Md_state.t -> dt:float -> unit
-
-(** [velocity_verlet_positions state ~dt] is the first half of a
-    velocity-Verlet step: [v += f dt/2m] then [x += v dt].  Call
-    {!velocity_verlet_velocities} after recomputing forces. *)
-val velocity_verlet_positions : Md_state.t -> dt:float -> unit
-
-(** [velocity_verlet_velocities state ~dt] completes the step with the
-    forces at the new positions: [v += f dt/2m]. *)
-val velocity_verlet_velocities : Md_state.t -> dt:float -> unit
-
-(** [wrap_positions state] folds all positions back into the box. *)
-val wrap_positions : Md_state.t -> unit

@@ -28,9 +28,6 @@ module Bonded = Bonded
 module Integrator = Integrator
 module Thermostat = Thermostat
 module Constraints = Constraints
-module Lincs = Lincs
-module Pressure = Pressure
-module Table_potential = Table_potential
 module Energy = Energy
 module Nonbonded = Nonbonded
 module Workflow = Workflow

@@ -153,7 +153,6 @@ let compute (state : Md_state.t) (cl : Cluster.t) (pairs : Pair_list.t)
               in
               energy.Energy.coulomb_sr <- energy.Energy.coulomb_sr +. e_el;
               let f_over_r = f_lj +. f_el in
-              energy.Energy.virial <- energy.Energy.virial +. (f_over_r *. r2);
               (* Vec3.axpy force a f_over_r d, inlined *)
               A.unsafe_set force (3 * a)
                 (A.unsafe_get force (3 * a) +. (f_over_r *. dx));
@@ -279,7 +278,6 @@ let brute_force (state : Md_state.t) (params : params) (energy : Energy.t) =
           in
           energy.Energy.coulomb_sr <- energy.Energy.coulomb_sr +. e_el;
           let f_over_r = Lj.force_over_r ~c6 ~c12 r2 +. f_el in
-          energy.Energy.virial <- energy.Energy.virial +. (f_over_r *. r2);
           A.unsafe_set force (3 * a) (A.unsafe_get force (3 * a) +. (f_over_r *. dx));
           A.unsafe_set force ((3 * a) + 1)
             (A.unsafe_get force ((3 * a) + 1) +. (f_over_r *. dy));

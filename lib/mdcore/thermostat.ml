@@ -1,25 +1,18 @@
 (** Temperature coupling.
 
-    Two algorithms, matching the GROMACS options used with the water
-    benchmark:
+    Berendsen weak coupling, the GROMACS option used with the water
+    benchmark: deterministic rescaling towards the reference
+    temperature, [lambda = sqrt(1 + dt/tau (T0/T - 1))]; simple and
+    stable, does not sample the canonical ensemble. *)
 
-    - {b Berendsen} weak coupling: deterministic rescaling towards the
-      reference temperature, [lambda = sqrt(1 + dt/tau (T0/T - 1))];
-      simple and stable, does not sample the canonical ensemble.
-    - {b V-rescale} (Bussi-Donadio-Parrinello 2007): Berendsen plus a
-      stochastic term that restores canonical kinetic-energy
-      fluctuations; GROMACS's modern default. *)
+type t = { t_ref : float; tau : float }
 
-type algo = Berendsen | V_rescale of Rng.t
-
-type t = { t_ref : float; tau : float; algo : algo }
-
-(** [create ?algo ~t_ref ~tau ()] is a thermostat coupling to [t_ref]
-    kelvin with time constant [tau] ps (default Berendsen). *)
-let create ?(algo = Berendsen) ~t_ref ~tau () =
+(** [create ~t_ref ~tau ()] is a thermostat coupling to [t_ref] kelvin
+    with time constant [tau] ps. *)
+let create ~t_ref ~tau () =
   if t_ref <= 0.0 then invalid_arg "Thermostat.create: t_ref must be positive";
   if tau <= 0.0 then invalid_arg "Thermostat.create: tau must be positive";
-  { t_ref; tau; algo }
+  { t_ref; tau }
 
 (** [lambda t ~dt ~temp] is the Berendsen scaling factor for the
     instantaneous temperature [temp] (clamped to [0.8, 1.25] as
@@ -30,38 +23,10 @@ let lambda t ~dt ~temp =
     let l2 = 1.0 +. (dt /. t.tau *. ((t.t_ref /. temp) -. 1.0)) in
     Float.max 0.8 (Float.min 1.25 (sqrt (Float.max 0.0 l2)))
 
-(* V-rescale: evolve the kinetic energy towards the canonical target
-   with an Ornstein-Uhlenbeck step (first-order weak scheme of the
-   Bussi et al. stochastic differential equation). *)
-let vrescale_lambda t rng ~dt ~temp ~dof =
-  if temp <= 0.0 then 1.0
-  else begin
-    let nf = float_of_int dof in
-    let kk = temp in
-    let kt = t.t_ref in
-    let c = exp (-.dt /. t.tau) in
-    (* target of the deterministic part plus canonical noise *)
-    let noise = Rng.gaussian rng in
-    let k_new =
-      (kk *. c)
-      +. (kt *. (1.0 -. c))
-      +. (2.0 *. noise *. sqrt (kk *. kt *. (1.0 -. c) *. c /. nf))
-    in
-    let l2 = Float.max 0.0 (k_new /. kk) in
-    Float.max 0.8 (Float.min 1.25 (sqrt l2))
-  end
-
-(** [apply t state ~dt] rescales all velocities in place according to
-    the configured algorithm. *)
+(** [apply t state ~dt] rescales all velocities in place by {!lambda}
+    of the current temperature. *)
 let apply t (state : Md_state.t) ~dt =
-  let temp = Md_state.temperature state in
-  let l =
-    match t.algo with
-    | Berendsen -> lambda t ~dt ~temp
-    | V_rescale rng ->
-        vrescale_lambda t rng ~dt ~temp
-          ~dof:(Topology.degrees_of_freedom state.Md_state.topo)
-  in
+  let l = lambda t ~dt ~temp:(Md_state.temperature state) in
   let v = state.Md_state.vel in
   for i = 0 to Fbuf.length v - 1 do
     Fbuf.unsafe_set v i (Fbuf.unsafe_get v i *. l)

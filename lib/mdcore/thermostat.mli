@@ -1,19 +1,15 @@
-(** Temperature coupling: Berendsen weak coupling, or V-rescale
-    (Bussi-Donadio-Parrinello) with canonical kinetic-energy
-    fluctuations. *)
+(** Temperature coupling: Berendsen weak coupling. *)
 
-type algo = Berendsen | V_rescale of Rng.t
+type t = { t_ref : float; tau : float }
 
-type t = { t_ref : float; tau : float; algo : algo }
-
-(** [create ?algo ~t_ref ~tau ()] is a thermostat coupling to [t_ref]
-    kelvin with time constant [tau] ps (default Berendsen). *)
-val create : ?algo:algo -> t_ref:float -> tau:float -> unit -> t
+(** [create ~t_ref ~tau ()] is a thermostat coupling to [t_ref] kelvin
+    with time constant [tau] ps. *)
+val create : t_ref:float -> tau:float -> unit -> t
 
 (** [lambda t ~dt ~temp] is the Berendsen scaling factor (clamped to
     [0.8, 1.25]). *)
 val lambda : t -> dt:float -> temp:float -> float
 
-(** [apply t state ~dt] rescales all velocities in place according to
-    the configured algorithm. *)
+(** [apply t state ~dt] rescales all velocities in place by
+    {!lambda} of the current temperature. *)
 val apply : t -> Md_state.t -> dt:float -> unit

@@ -5,7 +5,13 @@
     bonded), configuration update (leapfrog + SHAKE + thermostat) —
     executed in plain double precision on the host.  This is both the
     "x86 reference" of the accuracy experiment (Fig 13) and the
-    correctness oracle for the optimized SW kernels. *)
+    correctness oracle for the optimized SW kernels.
+
+    The step is a fixed sequence of named stages ({!search_if_due},
+    {!start_forces}, short-range forces, {!finish_forces}, {!update}).
+    {!step} fills the short-range slot with {!Nonbonded.compute}; the
+    optimized dynamics call the same stages around their own kernel, so
+    the two runs of Fig 13 differ in that kernel only. *)
 
 type config = {
   dt : float;  (** time step, ps *)
@@ -36,7 +42,7 @@ type t = {
   energy : Energy.t;
   mutable cluster : Cluster.t;
   mutable pairs : Pair_list.t;
-  mutable step_count : int;
+  mutable step_count : int;  (** steps completed; drives the pair-list cadence *)
   mutable pairs_in_cutoff : int;
   ref_pos : Fbuf.t;  (** scratch: positions before the update *)
   trial : Fbuf.t;  (** scratch: trial positions during minimization *)
@@ -81,16 +87,24 @@ let neighbour_search t =
     Pair_list.build t.state.Md_state.box t.cluster ~pos:t.state.Md_state.pos
       ~rlist:t.config.rlist ()
 
-(** [compute_forces t] clears forces, evaluates every term and leaves
-    per-term energies in [t.energy] (kinetic untouched). *)
-let compute_forces t =
-  let state = t.state in
-  Md_state.clear_forces state;
+(** [search_if_due t] rebuilds the pair list when [t.step_count] is on
+    the [nstlist] cadence. *)
+let search_if_due t =
+  if t.step_count mod t.config.nstlist = 0 then neighbour_search t
+
+(** [start_forces t] opens a force evaluation: clears the forces and
+    zeroes every energy term except the kinetic one. *)
+let start_forces t =
+  Md_state.clear_forces t.state;
   let kin = t.energy.Energy.kinetic in
   Energy.reset t.energy;
-  t.energy.Energy.kinetic <- kin;
-  t.pairs_in_cutoff <-
-    Nonbonded.compute state t.cluster t.pairs t.config.nb t.energy;
+  t.energy.Energy.kinetic <- kin
+
+(** [finish_forces t] adds every term after the short-range pair
+    forces: excluded-pair corrections, PME reciprocal space and bonded
+    interactions. *)
+let finish_forces t =
+  let state = t.state in
   Nonbonded.excluded_corrections state t.config.nb t.energy;
   (match (t.pme, t.config.nb.Nonbonded.elec) with
   | Some pme, Nonbonded.Ewald_real beta ->
@@ -107,12 +121,18 @@ let compute_forces t =
     Bonded.compute state.Md_state.box state.Md_state.topo state.Md_state.pos
       state.Md_state.force
 
-(** [step t] advances the system by one full MD step: neighbour search
-    when due, forces, leapfrog update, SHAKE, velocity back-derivation
-    and thermostat. *)
-let step t =
-  if t.step_count mod t.config.nstlist = 0 then neighbour_search t;
-  compute_forces t;
+(** [compute_forces t] clears forces, evaluates every term and leaves
+    per-term energies in [t.energy] (kinetic untouched). *)
+let compute_forces t =
+  start_forces t;
+  t.pairs_in_cutoff <-
+    Nonbonded.compute t.state t.cluster t.pairs t.config.nb t.energy;
+  finish_forces t
+
+(** [update t] closes the step on the current forces: leapfrog, SHAKE,
+    velocity back-derivation, thermostat, kinetic energy and the step
+    count. *)
+let update t =
   let state = t.state in
   Fbuf.blit state.Md_state.pos 0 t.ref_pos 0 (Fbuf.length t.ref_pos);
   Integrator.step state ~dt:t.config.dt;
@@ -133,6 +153,13 @@ let step t =
   | None -> ());
   t.energy.Energy.kinetic <- Md_state.kinetic_energy state;
   t.step_count <- t.step_count + 1
+
+(** [step t] advances the system by one full MD step: neighbour search
+    when due, forces, then {!update}. *)
+let step t =
+  search_if_due t;
+  compute_forces t;
+  update t
 
 (** [minimize ?steps t] relaxes the configuration by steepest descent
     with adaptive step size and SHAKE re-projection — the "steep"
@@ -183,6 +210,50 @@ let run t n =
   for _ = 1 to n do
     step t
   done
+
+(** [water_box ~dt ~temp ~molecules ~seed] is the Fig-13 system before
+    equilibration: a {!Water.build} box with rcut = rlist =
+    min(0.9, 0.45 x shortest edge) nm, Ewald beta at a 1e-5 real-space
+    tolerance, nstlist 10, a 32^3 PME mesh and Berendsen coupling to
+    [temp] with tau = 0.5 ps. *)
+let water_box ~dt ~temp ~molecules ~seed =
+  let state = Water.build ~molecules ~seed () in
+  let rcut = Float.min 0.9 (0.45 *. Box.min_edge state.Md_state.box) in
+  let beta = Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
+  let config =
+    {
+      dt;
+      nstlist = 10;
+      rlist = rcut;
+      nb = { Nonbonded.rcut; elec = Nonbonded.Ewald_real beta };
+      pme_grid = Some 32;
+      thermostat = Some (Thermostat.create ~t_ref:temp ~tau:0.5 ());
+    }
+  in
+  create ~config state
+
+(** [equilibrate t ~seed ~steps] prepares a {!water_box} for a measured
+    run: 60 steps of {!minimize}, fresh velocities at the coupling
+    temperature drawn from [seed + 1], then [steps] steps under strong
+    coupling (tau = 0.02 ps) that drain the remaining lattice strain.
+    [t.step_count] stays 0. *)
+let equilibrate t ~seed ~steps =
+  let temp =
+    match t.config.thermostat with
+    | Some th -> th.Thermostat.t_ref
+    | None -> invalid_arg "Workflow.equilibrate: needs a thermostat"
+  in
+  ignore (minimize ~steps:60 t);
+  Md_state.thermalize t.state (Rng.create (seed + 1)) temp;
+  if steps > 0 then begin
+    let strong =
+      {
+        t.config with
+        thermostat = Some (Thermostat.create ~t_ref:temp ~tau:0.02 ());
+      }
+    in
+    run (create ~config:strong t.state) steps
+  end
 
 (** [total_energy t] is the current total energy (kJ/mol); call after
     at least one {!step} or {!compute_forces}. *)

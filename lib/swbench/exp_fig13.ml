@@ -32,33 +32,11 @@ let data ~quick () =
   let seed = 77 in
   (* optimized path: Mark kernel dynamics *)
   let opt = E.simulate ~molecules ~seed ~steps ~sample_every ~equil_steps () in
-  (* reference path: identical setup through the double-precision flow *)
-  let st = Md.Water.build ~molecules ~seed () in
-  let box = st.Md.Md_state.box in
-  let rcut = Float.min 0.9 (0.45 *. Md.Box.min_edge box) in
-  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
-  let config =
-    {
-      Md.Workflow.dt = 0.001;
-      nstlist = 10;
-      rlist = rcut;
-      nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta };
-      pme_grid = Some 32;
-      thermostat = Some (Md.Thermostat.create ~t_ref:300.0 ~tau:0.5 ());
-    }
-  in
-  let w = Md.Workflow.create ~config st in
-  ignore (Md.Workflow.minimize ~steps:60 w);
-  Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) 300.0;
-  (* identical equilibration phase *)
-  let strong =
-    {
-      config with
-      Md.Workflow.thermostat = Some (Md.Thermostat.create ~t_ref:300.0 ~tau:0.02 ());
-    }
-  in
-  let we = Md.Workflow.create ~config:strong st in
-  Md.Workflow.run we equil_steps;
+  (* reference path: the same system, set-up and step stages (at the
+     Engine's default dt and temperature) with the double-precision
+     short-range kernel *)
+  let w = Md.Workflow.water_box ~dt:0.001 ~temp:300.0 ~molecules ~seed in
+  Md.Workflow.equilibrate w ~seed ~steps:equil_steps;
   let ref_samples = ref [] in
   for step = 1 to steps do
     Md.Workflow.step w;

@@ -11,9 +11,11 @@
       swstep planner, serially (the paper's measured profile) or with
       communication overlapped behind independent compute
       ([~plan:Overlap], the RDMA-hides-halo ablation);
-    - {!simulate}: actually integrate the equations of motion using
-      the optimized (mixed-precision) short-range kernel, producing
-      the trajectory data behind the accuracy experiment (Figure 13). *)
+    - {!simulate_protected} and {!simulate}: actually integrate the
+      equations of motion, running {!Mdcore.Workflow}'s step stages
+      with the optimized (mixed-precision) short-range kernel in place
+      of the reference one, producing the trajectory data behind the
+      accuracy experiment (Figure 13). *)
 
 module K = Kernel_common
 module Md = Mdcore
@@ -400,12 +402,15 @@ let checkpoint_sink cache ~name ck =
 let restart_of_store cache ~name = Swstore.Objects.get_checkpoint cache ~name
 
 (** [trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan
-    ~version ~total_atoms ~n_cg ~steps ()] prices [steps] consecutive
-    MD steps with the recorder running, laying one step timeline after
-    another on the trace clock (phases on the MPE track, kernel detail
-    on the CPE tracks, communication on the network track).  Returns
-    the last step's measurement; call {!Swtrace.Trace.enable} first or
-    the run degenerates to plain repeated {!measure}. *)
+    ?faults ~version ~total_atoms ~n_cg ~steps ()] calls {!measure}
+    [steps] times with the recorder running: each call builds the same
+    fresh system and prices its first step again, and the copies are
+    laid end to end on the trace clock (phases on the MPE track, kernel
+    detail on the CPE tracks, communication on the network track).
+    They are copies of one step, not consecutive MD steps: no position
+    moves between them.  Returns the last copy's measurement; call
+    {!Swtrace.Trace.enable} first or the run degenerates to plain
+    repeated {!measure}. *)
 let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
     ~total_atoms ~n_cg ~steps () =
   if steps < 1 then invalid_arg "Engine.trace_steps: steps must be positive";
@@ -423,32 +428,34 @@ let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
 
 type sample = { step : int; total_energy : float; temperature : float }
 
-(* The full MD loop with the optional protection machinery: fault
-   injection (LDM flips rolling back to the last checkpoint), periodic
-   checkpoint capture and restart-from-checkpoint.  With no faults, no
-   cadence and no restart, the loop is operation-for-operation the
-   historical unprotected one, so its trajectory is bit-identical. *)
-let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
+(** [simulate_protected ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined
+    ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed
+    ~steps ~sample_every ()] runs real water dynamics on the Fig-13
+    system ({!Mdcore.Workflow.water_box}, prepared by
+    {!Mdcore.Workflow.equilibrate}).  Each step runs the
+    {!Mdcore.Workflow} stages with the optimized mixed-precision kernel
+    (default [Mark]) in the short-range slot, so PME, constraints and
+    integration follow the reference path — exactly the split of the
+    paper's port.
+
+    The protection machinery is off unless asked for: [faults] injects
+    the plan's LDM flips (each rolling the trajectory back to the last
+    checkpoint) and degrades the machine the kernel runs on;
+    [checkpoint_every] captures a {!Swio.Checkpoint} every N steps
+    (rounded up to the pair-list cadence; with faults but no explicit
+    interval, every rebuild); [restart] resumes a checkpointed
+    trajectory bit-identically; [on_checkpoint] observes each capture
+    (e.g. to write it to disk).  Returns the energy/temperature samples,
+    the final particle state and the {!Swfault.Recovery.stats} of what
+    protection cost. *)
+let simulate_protected ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     ?(dt = 0.001) ?(temp = 300.0) ?(equil_steps = 0) ?(pipelined = false)
     ?faults ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
     ~sample_every () =
   Swarch.Config.validate cfg;
-  let st = Md.Water.build ~molecules ~seed () in
-  let box = st.Md.Md_state.box in
-  let rcut = Float.min 0.9 (0.45 *. Md.Box.min_edge box) in
-  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
-  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
-  let nstlist = 10 in
-  let config =
-    {
-      Md.Workflow.dt;
-      nstlist;
-      rlist = rcut;
-      nb = params;
-      pme_grid = Some 32;
-      thermostat = Some (Md.Thermostat.create ~t_ref:temp ~tau:0.5 ());
-    }
-  in
+  let w = Md.Workflow.water_box ~dt ~temp ~molecules ~seed in
+  let st = w.Md.Workflow.state and energy = w.Md.Workflow.energy in
+  let nstlist = w.Md.Workflow.config.Md.Workflow.nstlist in
   let n = Md.Md_state.n_atoms st in
   let stats = Swfault.Recovery.stats_zero () in
   (* checkpoints are only taken at pair-list rebuild boundaries:
@@ -461,54 +468,30 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
     | Some _ -> invalid_arg "Engine.simulate: checkpoint_every must be positive"
     | None -> ( match faults with Some _ -> Some nstlist | None -> None)
   in
-  (* restart: restore the checkpointed particle state before anything
-     snapshots it, and skip minimization/thermalization/equilibration
-     (the checkpoint already is the running trajectory) *)
-  let start_step =
-    match restart with
-    | None -> 0
-    | Some (ck : Swio.Checkpoint.t) ->
-        if ck.Swio.Checkpoint.n_atoms <> n then
-          invalid_arg "Engine.simulate: checkpoint atom count mismatch";
-        if
-          ck.Swio.Checkpoint.platform <> ""
-          && ck.Swio.Checkpoint.platform <> cfg.Swarch.Config.name
-        then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.simulate: checkpoint was taken on platform %s, \
-                restarting on %s would not be bit-faithful"
-               ck.Swio.Checkpoint.platform cfg.Swarch.Config.name);
-        if
-          ck.Swio.Checkpoint.step < 0
-          || ck.Swio.Checkpoint.step mod nstlist <> 0
-        then invalid_arg "Engine.simulate: checkpoint step not nstlist-aligned";
-        ignore
-          (Swio.Checkpoint.restore ck ~pos:st.Md.Md_state.pos
-             ~vel:st.Md.Md_state.vel);
-        ck.Swio.Checkpoint.step
-  in
-  if start_step >= steps && restart <> None then
-    invalid_arg "Engine.simulate: checkpoint is at or past the last step";
-  let w = Md.Workflow.create ~config st in
   (match restart with
-  | Some _ -> ()
-  | None ->
-      ignore (Md.Workflow.minimize ~steps:60 w);
-      Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) temp;
-      (* equilibration: tight coupling drains the remaining lattice
-         strain before the measured trajectory starts *)
-      if equil_steps > 0 then begin
-        let strong =
-          {
-            config with
-            Md.Workflow.thermostat =
-              Some (Md.Thermostat.create ~t_ref:temp ~tau:0.02 ());
-          }
-        in
-        let we = Md.Workflow.create ~config:strong st in
-        Md.Workflow.run we equil_steps
-      end);
+  | None -> Md.Workflow.equilibrate w ~seed ~steps:equil_steps
+  | Some (ck : Swio.Checkpoint.t) ->
+      (* restart: the checkpoint already is the running trajectory, so
+         it replaces minimization, thermalization and equilibration *)
+      if ck.Swio.Checkpoint.n_atoms <> n then
+        invalid_arg "Engine.simulate: checkpoint atom count mismatch";
+      if
+        ck.Swio.Checkpoint.platform <> ""
+        && ck.Swio.Checkpoint.platform <> cfg.Swarch.Config.name
+      then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.simulate: checkpoint was taken on platform %s, \
+              restarting on %s would not be bit-faithful"
+             ck.Swio.Checkpoint.platform cfg.Swarch.Config.name);
+      if ck.Swio.Checkpoint.step < 0 || ck.Swio.Checkpoint.step mod nstlist <> 0
+      then invalid_arg "Engine.simulate: checkpoint step not nstlist-aligned";
+      if ck.Swio.Checkpoint.step >= steps then
+        invalid_arg "Engine.simulate: checkpoint is at or past the last step";
+      ignore
+        (Swio.Checkpoint.restore ck ~pos:st.Md.Md_state.pos
+           ~vel:st.Md.Md_state.vel);
+      w.Md.Workflow.step_count <- ck.Swio.Checkpoint.step);
   let cg = Swarch.Core_group.create cfg in
   (* degraded machine: slow/stalled CPEs charge more per kernel; dead
      CPEs are re-striped inside {!Kernel.run} *)
@@ -541,21 +524,16 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
   in
   let samples = ref [] in
   let since_ckpt = ref 0.0 in
-  let step = ref (start_step + 1) in
-  while !step <= steps do
-    let s = !step in
+  while w.Md.Workflow.step_count < steps do
+    let s = w.Md.Workflow.step_count + 1 in
     Swtrace.Trace.push ~cat:"step" Swtrace.Track.Mpe "step:md";
-    if (s - 1) mod config.Md.Workflow.nstlist = 0 then
-      Md.Workflow.neighbour_search w;
-    (* forces: short-range from the optimized kernel, the rest from the
-       reference path *)
-    Md.Md_state.clear_forces st;
-    let kin = w.Md.Workflow.energy.Md.Energy.kinetic in
-    Md.Energy.reset w.Md.Workflow.energy;
-    w.Md.Workflow.energy.Md.Energy.kinetic <- kin;
+    Md.Workflow.search_if_due w;
+    Md.Workflow.start_forces w;
+    (* the short-range slot: the optimized kernel on the core group *)
     let sys =
-      K.make cfg ~box ~params ~cl:w.Md.Workflow.cluster
-        ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff ~pos:st.Md.Md_state.pos
+      K.make cfg ~box:st.Md.Md_state.box ~params:w.Md.Workflow.config.Md.Workflow.nb
+        ~cl:w.Md.Workflow.cluster ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff
+        ~pos:st.Md.Md_state.pos
     in
     let outcome = Kernel.run ~pipelined ?faults sys w.Md.Workflow.pairs cg variant in
     (* an LDM bit flip is detected when the per-CPE force copies are
@@ -592,48 +570,19 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
       samples :=
         List.filter (fun smp -> smp.step <= ck.Swio.Checkpoint.step) !samples;
       Swtrace.Trace.pop Swtrace.Track.Mpe;
-      step := ck.Swio.Checkpoint.step + 1
+      w.Md.Workflow.step_count <- ck.Swio.Checkpoint.step
     end
     else begin
       K.scatter_forces sys outcome.Kernel.result st.Md.Md_state.force;
-      w.Md.Workflow.energy.Md.Energy.lj <- K.e_lj outcome.Kernel.result;
-      w.Md.Workflow.energy.Md.Energy.coulomb_sr <- K.e_coul outcome.Kernel.result;
-      Md.Nonbonded.excluded_corrections st params w.Md.Workflow.energy;
-      (match w.Md.Workflow.pme with
-      | Some pme ->
-          Md.Pme.spread pme ~pos:st.Md.Md_state.pos
-            ~charge:st.Md.Md_state.topo.Md.Topology.charge ~n;
-          let e_recip = Md.Pme.solve pme in
-          Md.Pme.gather_forces pme ~pos:st.Md.Md_state.pos
-            ~charge:st.Md.Md_state.topo.Md.Topology.charge ~n
-            ~force:st.Md.Md_state.force;
-          w.Md.Workflow.energy.Md.Energy.coulomb_recip <-
-            w.Md.Workflow.energy.Md.Energy.coulomb_recip +. e_recip
-            +. Md.Coulomb.self_energy ~beta st.Md.Md_state.topo.Md.Topology.charge
-      | None -> ());
-      (* configuration update: leapfrog + SHAKE + thermostat *)
-      Md.Fbuf.blit st.Md.Md_state.pos 0 w.Md.Workflow.ref_pos 0 (3 * n);
-      Md.Integrator.step st ~dt;
-      ignore
-        (Md.Constraints.apply w.Md.Workflow.shake ~ref_pos:w.Md.Workflow.ref_pos
-           ~pos:st.Md.Md_state.pos);
-      let inv_dt = 1.0 /. dt in
-      let pos = st.Md.Md_state.pos
-      and vel = st.Md.Md_state.vel
-      and ref_pos = w.Md.Workflow.ref_pos in
-      for k = 0 to (3 * n) - 1 do
-        Md.Fbuf.unsafe_set vel k
-          ((Md.Fbuf.unsafe_get pos k -. Md.Fbuf.unsafe_get ref_pos k) *. inv_dt)
-      done;
-      (match config.Md.Workflow.thermostat with
-      | Some th -> Md.Thermostat.apply th st ~dt
-      | None -> ());
-      w.Md.Workflow.energy.Md.Energy.kinetic <- Md.Md_state.kinetic_energy st;
+      energy.Md.Energy.lj <- K.e_lj outcome.Kernel.result;
+      energy.Md.Energy.coulomb_sr <- K.e_coul outcome.Kernel.result;
+      Md.Workflow.finish_forces w;
+      Md.Workflow.update w;
       if s mod sample_every = 0 then
         samples :=
           {
             step = s;
-            total_energy = Md.Energy.total w.Md.Workflow.energy;
+            total_energy = Md.Energy.total energy;
             temperature = Md.Md_state.temperature st;
           }
           :: !samples;
@@ -643,46 +592,19 @@ let simulate_full ?(cfg = Swarch.Config.default) ?(variant = Variant.Mark)
           since_ckpt := 0.0
         end
       | _ -> since_ckpt := !since_ckpt +. outcome.Kernel.elapsed);
-      Swtrace.Trace.pop Swtrace.Track.Mpe;
-      incr step
+      Swtrace.Trace.pop Swtrace.Track.Mpe
     end
   done;
   (List.rev !samples, st, stats)
 
-(** [simulate_state ?cfg ?variant ~molecules ~seed ~steps ~sample_every ()]
-    runs real water dynamics where the short-range forces come from
-    the optimized mixed-precision kernel (default [Mark]) while PME,
-    constraints and integration follow the reference path — exactly
-    the split of the paper's port.  Returns energy/temperature samples
-    for comparison against the double-precision {!Mdcore.Workflow},
-    plus the final particle state (for trajectory output). *)
-let simulate_state ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-    ~seed ~steps ~sample_every () =
-  let samples, st, _ =
-    simulate_full ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-      ~seed ~steps ~sample_every ()
-  in
-  (samples, st)
-
-(** [simulate_protected ...] is the resilient MD loop: [faults] injects
-    the plan's LDM flips (each rolling the trajectory back to the last
-    checkpoint) and degrades the machine the kernel runs on;
-    [checkpoint_every] captures a {!Swio.Checkpoint} every N steps
-    (rounded up to the pair-list cadence; with faults but no explicit
-    interval, every rebuild); [restart] resumes a checkpointed
-    trajectory bit-identically; [on_checkpoint] observes each capture
-    (e.g. to write it to disk).  Returns the samples, the final state
-    and the {!Swfault.Recovery.stats} of what protection cost. *)
-let simulate_protected ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ?faults
-    ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
-    ~sample_every () =
-  simulate_full ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ?faults
-    ?checkpoint_every ?restart ?on_checkpoint ~molecules ~seed ~steps
-    ~sample_every ()
-
-(** [simulate ...] is {!simulate_state} without the final state. *)
+(** [simulate ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
+    ~seed ~steps ~sample_every ()] is {!simulate_protected} without
+    protection, keeping only the samples: the optimized curve of
+    Figure 13. *)
 let simulate ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules ~seed
     ~steps ~sample_every () =
-  fst
-    (simulate_state ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined ~molecules
-       ~seed ~steps ~sample_every ())
+  let samples, _, _ =
+    simulate_protected ?cfg ?variant ?dt ?temp ?equil_steps ?pipelined
+      ~molecules ~seed ~steps ~sample_every ()
+  in
+  samples

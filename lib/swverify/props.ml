@@ -334,11 +334,11 @@ let schedule_invariance (c : Config.t) ~gen ~seed =
       let cfg = Config.cfg c in
       let molecules = Gen.molecules gen in
       let run pipelined =
-        Swgmx.Engine.simulate_state ~cfg ~pipelined ~molecules ~seed ~steps:10
+        Swgmx.Engine.simulate_protected ~cfg ~pipelined ~molecules ~seed ~steps:10
           ~sample_every:2 ()
       in
-      let s_ser, st_ser = run false in
-      let s_pip, st_pip = run true in
+      let s_ser, st_ser, _ = run false in
+      let s_pip, st_pip, _ = run true in
       sample_list_check "serial vs pipelined" s_ser s_pip;
       state_check "serial vs pipelined" st_ser st_pip;
       let measure plan =
@@ -434,12 +434,12 @@ let domain_identity (c : Config.t) ~gen ~seed =
       let molecules = Gen.molecules gen in
       let run d =
         with_domains d (fun () ->
-            Swgmx.Engine.simulate_state ~cfg ~pipelined:(Config.pipelined c)
+            Swgmx.Engine.simulate_protected ~cfg ~pipelined:(Config.pipelined c)
               ~molecules ~seed ~steps:10 ~sample_every:2 ())
       in
       let other = if c.Config.domains = 1 then 2 else c.Config.domains in
-      let s1, st1 = run 1 in
-      let sn, stn = run other in
+      let s1, st1, _ = run 1 in
+      let sn, stn, _ = run other in
       let what = Printf.sprintf "domains 1 vs %d" other in
       sample_list_check what s1 sn;
       state_check what st1 stn)
@@ -455,8 +455,8 @@ let fault_recovery_identity (c : Config.t) ~gen ~seed =
       let cfg = Config.cfg c in
       let molecules = Gen.molecules gen in
       let pipelined = Config.pipelined c in
-      let baseline, st_base =
-        Swgmx.Engine.simulate_state ~cfg ~pipelined ~molecules ~seed ~steps:12
+      let baseline, st_base, _ =
+        Swgmx.Engine.simulate_protected ~cfg ~pipelined ~molecules ~seed ~steps:12
           ~sample_every:2 ()
       in
       let plan =

@@ -243,7 +243,8 @@ let protected ?faults ?checkpoint_every ?restart ?on_checkpoint steps =
     ?on_checkpoint ~molecules:8 ~seed:42 ~steps ~sample_every:2 ()
 
 let baseline steps =
-  Swgmx.Engine.simulate_state ~molecules:8 ~seed:42 ~steps ~sample_every:2 ()
+  let samples, st, _ = protected steps in
+  (samples, st)
 
 let check_same_trajectory name (s1, (st1 : Mdcore.Md_state.t))
     (s2, (st2 : Mdcore.Md_state.t)) =

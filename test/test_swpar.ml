@@ -180,7 +180,7 @@ let test_traced_step_bit_identity () =
 let checkpoint_bytes () =
   let captured = ref [] in
   let _samples, _st, _stats =
-    E.simulate_full ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
+    E.simulate_protected ~molecules:20 ~seed:7 ~steps:20 ~sample_every:20
       ~checkpoint_every:10
       ~on_checkpoint:(fun ck ->
         captured := Swio.Checkpoint.to_string ck :: !captured)
