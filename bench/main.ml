@@ -365,62 +365,13 @@ let write_json path rows =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* minimal argv handling: [--json FILE], [--platform NAME] and
-   [--domains N] *)
-let json_path () =
-  let rec scan = function
-    | "--json" :: path :: _ -> Some path
-    | "--json" :: [] ->
-        prerr_endline "bench: --json requires a file argument";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let platform_name () =
-  let rec scan = function
-    | "--platform" :: name :: _ -> Some name
-    | "--platform" :: [] ->
-        prerr_endline "bench: --platform requires a platform name";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let domain_count () =
-  let rec scan = function
-    | "--domains" :: n :: _ -> (
-        match int_of_string_opt n with
-        | Some n -> Some n
-        | None ->
-            prerr_endline "bench: --domains requires an integer";
-            exit 2)
-    | "--domains" :: [] ->
-        prerr_endline "bench: --domains requires a domain count";
-        exit 2
-    | _ :: rest -> scan rest
-    | [] -> None
-  in
-  scan (List.tl (Array.to_list Sys.argv))
-
-let () =
-  (match domain_count () with
-  | Some n -> (
-      try Swpar.Domains.set n
-      with Invalid_argument msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
-  | None -> ());
-  (match platform_name () with
-  | Some name -> (
-      try Swbench.Common.set_platform (Swarch.Platform.resolve name)
-      with Invalid_argument msg ->
-        prerr_endline ("bench: " ^ msg);
-        exit 2)
-  | None -> ());
-  let json = json_path () in
+let main json platform_name domains =
+  (try
+     Swpar.Domains.set domains;
+     Swbench.Common.set_platform (Swarch.Platform.resolve platform_name)
+   with Invalid_argument msg ->
+     prerr_endline ("bench: " ^ msg);
+     exit 2);
   Fmt.pr "platform: %a (%d domain(s))@." Swarch.Platform.pp
     (Swbench.Common.cfg ()) (Swpar.Domains.get ());
   Fmt.pr "=== bechamel micro-benchmarks (one per table/figure) ===@.";
@@ -433,3 +384,32 @@ let () =
       Fmt.pr "@.--- %s ---@." e.Swbench.Registry.title;
       e.Swbench.Registry.run ~quick:true Fmt.stdout)
     Swbench.Registry.all
+
+open Cmdliner
+
+let json =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Also write the results machine-readably to $(docv).")
+
+let platform =
+  Arg.(
+    value
+    & opt string Swarch.Platform.default.Swarch.Platform.name
+    & info [ "platform" ] ~docv:"NAME"
+        ~doc:
+          "Machine description to benchmark: a built-in platform name or a \
+           key=value platform file.")
+
+let domains =
+  Arg.(
+    value & opt int 1
+    & info [ "domains" ] ~docv:"N"
+        ~doc:"Run the simulator over $(docv) OCaml domains.")
+
+let () =
+  let doc = "benchmark and regenerate the tables and figures of the paper" in
+  let term = Term.(const main $ json $ platform $ domains) in
+  exit (Cmd.eval (Cmd.v (Cmd.info "bench" ~doc) term))

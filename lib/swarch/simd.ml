@@ -7,16 +7,17 @@
     count, which is what makes vectorization pay off in the
     performance model.  Lane values are rounded through IEEE single
     precision on every operation so that the optimized kernels really
-    compute in mixed precision, as the paper's do.
+    compute in mixed precision, as the paper's do.  With 4 lanes every
+    operation (values {e and} charges) is bit-identical to the
+    historical [floatv4] emulation.
 
-    With 4 lanes every operation (values {e and} charges) is
-    bit-identical to the historical [floatv4] emulation; the property
-    tests pin this. *)
+    Every operation writes into a caller-owned destination vector, so
+    the kernel inner loops run on a fixed set of scratch vectors and
+    never touch the minor heap.  A destination may alias an operand:
+    lanes are independent and each lane is read before it is
+    written. *)
 
 type vec = float array
-
-type v4 = vec
-(** Compatibility alias from when the module was hardwired to 4 lanes. *)
 
 (** [round32 x] is [x] rounded to the nearest representable IEEE-754
     single-precision value. *)
@@ -25,30 +26,10 @@ let round32 x = Int32.float_of_bits (Int32.bits_of_float x)
 (** [width v] is the number of lanes in [v]. *)
 let width (v : vec) = Array.length v
 
-(** [splat w x] is a [w]-lane vector with all lanes equal to
-    [round32 x].  Free of charge: register broadcasts are folded into
-    the consuming instruction. *)
-let splat w x : vec =
-  if w <= 0 then invalid_arg "Simd.splat: width must be positive";
-  Array.make w (round32 x)
-
-(** [init w f] builds a [w]-lane vector with lane [i] = [round32 (f i)]
-    (free: models a register load/permute from LDM). *)
-let init w f : vec =
-  if w <= 0 then invalid_arg "Simd.init: width must be positive";
-  Array.init w (fun i -> round32 (f i))
-
-(** [make a b c d] builds a 4-lane vector from four lane values. *)
-let make a b c d : vec =
-  [| round32 a; round32 b; round32 c; round32 d |]
-
 (** [zero w] is the [w]-lane all-zero vector. *)
 let zero w : vec =
   if w <= 0 then invalid_arg "Simd.zero: width must be positive";
   Array.make w 0.0
-
-(** [copy v] is an independent copy of [v]. *)
-let copy (v : vec) : vec = Array.copy v
 
 (** [lane v i] extracts lane [i]. *)
 let lane (v : vec) i =
@@ -57,135 +38,19 @@ let lane (v : vec) i =
       (Printf.sprintf "Simd.lane: %d not in 0..%d" i (Array.length v - 1));
   v.(i)
 
-(** [set_lane v i x] stores [round32 x] in lane [i]. *)
-let set_lane (v : vec) i x =
-  if i < 0 || i >= Array.length v then invalid_arg "Simd.set_lane";
-  v.(i) <- round32 x
-
-(** [to_array v] is the lanes as a fresh float array. *)
-let to_array (v : vec) = Array.copy v
-
-(** [of_array w arr off] loads [w] consecutive lanes from [arr]
-    starting at [off] (no cost: models a register load from LDM). *)
-let of_array w arr off : vec =
-  if w <= 0 then invalid_arg "Simd.of_array: width must be positive";
-  Array.init w (fun i -> round32 arr.(off + i))
-
-(** [slice v off len] is lanes [off .. off+len-1] of [v] as a vector;
-    free (a register half/quarter extract).  Returns [v] itself when
-    the slice is the whole vector. *)
-let slice (v : vec) off len : vec =
-  if off = 0 && len = Array.length v then v
-  else if off < 0 || len <= 0 || off + len > Array.length v then
-    invalid_arg "Simd.slice"
-  else Array.sub v off len
-
-let check_widths name (x : vec) (y : vec) =
-  if Array.length x <> Array.length y then
-    invalid_arg (Printf.sprintf "Simd.%s: width mismatch (%d vs %d)" name
-                   (Array.length x) (Array.length y))
-
-let lift2 cost f (x : vec) (y : vec) : vec =
-  check_widths "lift2" x y;
-  Cost.simd cost 1.0;
-  Array.init (Array.length x) (fun i -> round32 (f x.(i) y.(i)))
-
-(** [add cost x y] is the lane-wise sum; one vector instruction. *)
-let add cost x y = lift2 cost ( +. ) x y
-
-(** [sub cost x y] is the lane-wise difference; one vector instruction. *)
-let sub cost x y = lift2 cost ( -. ) x y
-
-(** [mul cost x y] is the lane-wise product; one vector instruction. *)
-let mul cost x y = lift2 cost ( *. ) x y
-
-(** [div cost x y] is the lane-wise quotient; one vector instruction. *)
-let div cost x y = lift2 cost ( /. ) x y
-
-(** [fma cost x y z] is [x*y + z]; one (fused) vector instruction. *)
-let fma cost (x : vec) (y : vec) (z : vec) : vec =
-  check_widths "fma" x y;
-  check_widths "fma" x z;
-  Cost.simd cost 1.0;
-  Array.init (Array.length x) (fun i -> round32 ((x.(i) *. y.(i)) +. z.(i)))
-
-(** [round cost x] is the lane-wise round-to-nearest; one vector
-    instruction (used by the periodic minimum-image fold). *)
-let round cost (x : vec) : vec =
-  Cost.simd cost 1.0;
-  Array.map Float.round x
-
-(** [rsqrt cost x] is the lane-wise reciprocal square root (charged as
-    one vector instruction, matching the hardware estimate+refine
-    sequence the paper's kernels use). *)
-let rsqrt cost (x : vec) : vec =
-  Cost.simd cost 1.0;
-  Array.map (fun v -> round32 (1.0 /. sqrt v)) x
-
-(** [cmp_lt cost x y] is a lane mask: 1.0 where [x < y], else 0.0. *)
-let cmp_lt cost (x : vec) (y : vec) : vec =
-  check_widths "cmp_lt" x y;
-  Cost.simd cost 1.0;
-  Array.init (Array.length x) (fun i -> if x.(i) < y.(i) then 1.0 else 0.0)
-
-(** [select cost mask x y] is lane-wise [mask <> 0 ? x : y]. *)
-let select cost (mask : vec) (x : vec) (y : vec) : vec =
-  check_widths "select" mask x;
-  check_widths "select" mask y;
-  Cost.simd cost 1.0;
-  Array.init (Array.length mask) (fun i -> if mask.(i) <> 0.0 then x.(i) else y.(i))
-
-(* One halving round of the horizontal-sum tree: adjacent lane pairs
-   are added (an odd trailing lane passes through).  At 4 lanes the two
-   rounds reproduce round32 (round32 (a+b) +. round32 (c+d)) exactly. *)
-let hsum_round (v : vec) : vec =
-  let n = Array.length v in
-  Array.init ((n + 1) / 2) (fun i ->
-      if (2 * i) + 1 < n then round32 (v.(2 * i) +. v.((2 * i) + 1))
-      else v.(2 * i))
-
-(* Allocation-free tree sum over a power-of-two lane range: identical
-   to folding [hsum_round] because both round through round32 at every
-   internal node of the same balanced adjacent-pairs tree. *)
+(* Tree sum over a power-of-two lane range: adjacent pairs are added
+   and rounded through round32 at every internal node, one shuffle-add
+   vector instruction per halving round. *)
 let rec hsum_pow2 (v : vec) lo len =
   if len = 1 then v.(lo)
   else
     let h = len / 2 in
     round32 (hsum_pow2 v lo h +. hsum_pow2 v (lo + h) h)
 
-(** [hsum cost v] is the horizontal sum of the lanes, charged as one
-    shuffle-add vector instruction per halving round (2 at 4 lanes, 3
-    at 8). *)
-let hsum cost (v : vec) =
-  let n = Array.length v in
-  if n land (n - 1) = 0 then begin
-    (* power-of-two widths (every real platform) take the scratch-free
-       path; charges are identical: one instruction per halving *)
-    let w = ref n in
-    while !w > 1 do
-      Cost.simd cost 1.0;
-      w := !w / 2
-    done;
-    hsum_pow2 v 0 n
-  end
-  else begin
-    let r = ref v in
-    while Array.length !r > 1 do
-      Cost.simd cost 1.0;
-      r := hsum_round !r
-    done;
-    (!r).(0)
-  end
-
-(** [hsum_part cost v off len] is {!hsum} of lanes
-    [off .. off+len-1] without materialising the slice: charged one
-    shuffle-add per halving of [len], which must be a power of two.
-    Bit-identical to [hsum cost (slice v off len)]. *)
-let hsum_part cost (v : vec) off len =
-  if off < 0 || len <= 0 || off + len > Array.length v then
-    invalid_arg "Simd.hsum_part";
+let tree_sum name cost (v : vec) off len =
   if len land (len - 1) <> 0 then
-    invalid_arg "Simd.hsum_part: len must be a power of two";
+    invalid_arg
+      (Printf.sprintf "Simd.%s: %d lanes is not a power of two" name len);
   let w = ref len in
   while !w > 1 do
     Cost.simd cost 1.0;
@@ -193,76 +58,23 @@ let hsum_part cost (v : vec) off len =
   done;
   hsum_pow2 v off len
 
-(** [narrow cost v n] folds [v] down to [n] lanes by repeatedly adding
-    the upper half onto the lower half (one vector instruction per
-    halving).  Free identity when [v] already has [n] lanes; used to
-    bring wide accumulators back to a 4-lane register before the
-    transpose. *)
-let narrow cost (v : vec) n : vec =
-  if n <= 0 then invalid_arg "Simd.narrow";
-  let r = ref v in
-  while Array.length !r > n do
-    let w = Array.length !r in
-    if w mod 2 <> 0 || w / 2 < n then invalid_arg "Simd.narrow";
-    let cur = !r in
-    Cost.simd cost 1.0;
-    r := Array.init (w / 2) (fun i -> round32 (cur.(i) +. cur.(i + (w / 2))))
-  done;
-  !r
+(** [hsum cost v] is the horizontal sum of the lanes, charged as one
+    shuffle-add vector instruction per halving round (2 at 4 lanes, 3
+    at 8); the width must be a power of two. *)
+let hsum cost (v : vec) = tree_sum "hsum" cost v 0 (Array.length v)
 
-(** [vshuff cost x y (i, j, k, l)] is the [simd_vshulff] instruction of
-    the paper: within each 4-lane group [g], the result's lanes are
-    lanes [i] and [j] of [x]'s group [g] followed by lanes [k] and [l]
-    of [y]'s group [g]; one vector instruction.  At 4 lanes this is
-    exactly the historical [floatv4] shuffle. *)
-let vshuff cost (x : vec) (y : vec) (i, j, k, l) : vec =
-  check_widths "vshuff" x y;
-  let w = Array.length x in
-  if w mod 4 <> 0 then invalid_arg "Simd.vshuff: width must be a multiple of 4";
-  let pick v g n =
-    if n < 0 || n > 3 then
-      invalid_arg (Printf.sprintf "Simd.lane: %d not in 0..3" n);
-    v.((g * 4) + n)
-  in
-  Cost.simd cost 1.0;
-  Array.init w (fun p ->
-      let g = p / 4 in
-      match p mod 4 with
-      | 0 -> pick x g i
-      | 1 -> pick x g j
-      | 2 -> pick y g k
-      | _ -> pick y g l)
+(** [hsum_part cost v off len] is the horizontal sum of lanes
+    [off .. off+len-1], the same tree and charges as {!hsum} over a
+    [len]-lane vector; [len] must be a power of two. *)
+let hsum_part cost (v : vec) off len =
+  if off < 0 || len <= 0 || off + len > Array.length v then
+    invalid_arg "Simd.hsum_part";
+  tree_sum "hsum_part" cost v off len
 
-(** [transpose3x4 cost x y z] converts three 4-lane vectors holding
-    [x1..x4], [y1..y4], [z1..z4] into four per-particle triples
-    [(xi, yi, zi)], using the six-shuffle sequence of Figure 7 in the
-    paper.  Requires width 4 (wider accumulators are first brought
-    down with {!narrow}).  Returns the four triples. *)
-let transpose3x4 cost (x : vec) y z =
-  if width x <> 4 || width y <> 4 || width z <> 4 then
-    invalid_arg "Simd.transpose3x4: width must be 4";
-  (* First shuffle round: interleave pairs (Fig 7, "First Shuffle"). *)
-  let s1 = vshuff cost x y (0, 2, 0, 2) in  (* X1 X3 Y1 Y3 *)
-  let s2 = vshuff cost x z (1, 3, 0, 2) in  (* X2 X4 Z1 Z3 *)
-  let s3 = vshuff cost y z (1, 3, 1, 3) in  (* Y2 Y4 Z2 Z4 *)
-  (* Second shuffle round: gather per-particle triples. *)
-  let p1 = vshuff cost s1 s2 (0, 2, 2, 0) in (* X1 Y1 Z1 X2 *)
-  let p2 = vshuff cost s3 s1 (0, 2, 1, 3) in (* Y2 Z2 X3 Y3 *)
-  let p3 = vshuff cost s2 s3 (3, 1, 1, 3) in (* Z3 X4 Y4 Z4 *)
-  ( (p1.(0), p1.(1), p1.(2)),
-    (p1.(3), p2.(0), p2.(1)),
-    (p2.(2), p2.(3), p3.(0)),
-    (p3.(1), p3.(2), p3.(3)) )
-
-(* --- in-place API ------------------------------------------------------ *)
-
-(* Destination-passing variants of the operations above.  Each performs
-   exactly the same lane arithmetic in the same order as its allocating
-   twin and charges the same cost, but writes into a caller-owned
-   vector instead of allocating a fresh one — this is what lets the
-   kernel inner loops run without triggering the minor GC.  A
-   destination may alias an operand: lanes are independent and each
-   lane is read before it is written. *)
+let check_widths name (x : vec) (y : vec) =
+  if Array.length x <> Array.length y then
+    invalid_arg (Printf.sprintf "Simd.%s: width mismatch (%d vs %d)" name
+                   (Array.length x) (Array.length y))
 
 let check_dst name (dst : vec) (x : vec) =
   if Array.length dst <> Array.length x then
@@ -270,23 +82,19 @@ let check_dst name (dst : vec) (x : vec) =
       (Printf.sprintf "Simd.%s: width mismatch (dst %d vs %d)" name
          (Array.length dst) (Array.length x))
 
-(** [splat_into dst x] fills every lane of [dst] with [round32 x];
-    free, like {!splat}. *)
+(** [splat_into dst x] fills every lane of [dst] with [round32 x].
+    Free of charge: register broadcasts are folded into the consuming
+    instruction. *)
 let splat_into (dst : vec) x =
   let v = round32 x in
   Array.fill dst 0 (Array.length dst) v
 
 (** [init_into dst f] sets lane [i] of [dst] to [round32 (f i)], in
-    ascending lane order; free, like {!init}. *)
+    ascending lane order; free (a register load/permute from LDM). *)
 let init_into (dst : vec) f =
   for i = 0 to Array.length dst - 1 do
     dst.(i) <- round32 (f i)
   done
-
-(** [copy_into dst src] copies the lanes of [src] into [dst]; free. *)
-let copy_into (dst : vec) (src : vec) =
-  check_dst "copy_into" dst src;
-  Array.blit src 0 dst 0 (Array.length src)
 
 let lift2_into name cost f (dst : vec) (x : vec) (y : vec) =
   check_widths name x y;
@@ -296,19 +104,20 @@ let lift2_into name cost f (dst : vec) (x : vec) (y : vec) =
     dst.(i) <- round32 (f x.(i) y.(i))
   done
 
-(** [add_into cost dst x y] is {!add} into [dst]. *)
+(** [add_into cost dst x y] writes the lane-wise sum [x + y] into
+    [dst]; one vector instruction. *)
 let add_into cost dst x y = lift2_into "add_into" cost ( +. ) dst x y
 
-(** [sub_into cost dst x y] is {!sub} into [dst]. *)
+(** [sub_into cost dst x y] writes the lane-wise difference [x - y]
+    into [dst]; one vector instruction. *)
 let sub_into cost dst x y = lift2_into "sub_into" cost ( -. ) dst x y
 
-(** [mul_into cost dst x y] is {!mul} into [dst]. *)
+(** [mul_into cost dst x y] writes the lane-wise product [x * y] into
+    [dst]; one vector instruction. *)
 let mul_into cost dst x y = lift2_into "mul_into" cost ( *. ) dst x y
 
-(** [div_into cost dst x y] is {!div} into [dst]. *)
-let div_into cost dst x y = lift2_into "div_into" cost ( /. ) dst x y
-
-(** [fma_into cost dst x y z] is {!fma} into [dst]. *)
+(** [fma_into cost dst x y z] writes [x*y + z] into [dst], rounded
+    once per lane; one (fused) vector instruction. *)
 let fma_into cost (dst : vec) (x : vec) (y : vec) (z : vec) =
   check_widths "fma_into" x y;
   check_widths "fma_into" x z;
@@ -318,7 +127,9 @@ let fma_into cost (dst : vec) (x : vec) (y : vec) (z : vec) =
     dst.(i) <- round32 ((x.(i) *. y.(i)) +. z.(i))
   done
 
-(** [round_into cost dst x] is {!round} into [dst]. *)
+(** [round_into cost dst x] writes the lane-wise round-to-nearest of
+    [x] into [dst]; one vector instruction (used by the periodic
+    minimum-image fold). *)
 let round_into cost (dst : vec) (x : vec) =
   check_dst "round_into" dst x;
   Cost.simd cost 1.0;
@@ -326,7 +137,9 @@ let round_into cost (dst : vec) (x : vec) =
     dst.(i) <- Float.round x.(i)
   done
 
-(** [rsqrt_into cost dst x] is {!rsqrt} into [dst]. *)
+(** [rsqrt_into cost dst x] writes the lane-wise reciprocal square
+    root of [x] into [dst] (charged as one vector instruction, matching
+    the hardware estimate+refine sequence the paper's kernels use). *)
 let rsqrt_into cost (dst : vec) (x : vec) =
   check_dst "rsqrt_into" dst x;
   Cost.simd cost 1.0;
@@ -334,7 +147,8 @@ let rsqrt_into cost (dst : vec) (x : vec) =
     dst.(i) <- round32 (1.0 /. sqrt x.(i))
   done
 
-(** [cmp_lt_into cost dst x y] is {!cmp_lt} into [dst]. *)
+(** [cmp_lt_into cost dst x y] writes a lane mask into [dst]: 1.0
+    where [x < y], else 0.0; one vector instruction. *)
 let cmp_lt_into cost (dst : vec) (x : vec) (y : vec) =
   check_widths "cmp_lt_into" x y;
   check_dst "cmp_lt_into" dst x;
@@ -343,8 +157,8 @@ let cmp_lt_into cost (dst : vec) (x : vec) (y : vec) =
     dst.(i) <- (if x.(i) < y.(i) then 1.0 else 0.0)
   done
 
-(** [select_into cost dst mask x y] is {!select} into [dst].  [dst] may
-    alias [mask], [x] or [y]. *)
+(** [select_into cost dst mask x y] writes lane-wise
+    [mask <> 0 ? x : y] into [dst]; one vector instruction. *)
 let select_into cost (dst : vec) (mask : vec) (x : vec) (y : vec) =
   check_widths "select_into" mask x;
   check_widths "select_into" mask y;
@@ -354,11 +168,11 @@ let select_into cost (dst : vec) (mask : vec) (x : vec) (y : vec) =
     dst.(i) <- (if mask.(i) <> 0.0 then x.(i) else y.(i))
   done
 
-(** [narrow_into cost dst v] is {!narrow} of [v] down to [dst]'s width,
-    written into [dst]: a copy when the widths match (free), one
-    halving-add instruction when [v] is twice as wide.  [dst] must not
-    alias [v] when a halving runs.  Those two shapes cover both real
-    platforms (8 -> 4 and 4 -> 4); anything else raises. *)
+(** [narrow_into cost dst v] folds [v] down to [dst]'s width: a free
+    copy when the widths match, one halving-add instruction (upper
+    half onto lower half) when [v] is twice as wide.  Those two shapes
+    cover both real platforms (4 -> 4 and 8 -> 4); anything else
+    raises. *)
 let narrow_into cost (dst : vec) (v : vec) =
   let n = Array.length dst and w = Array.length v in
   if w = n then (if dst != v then Array.blit v 0 dst 0 n)
@@ -370,11 +184,13 @@ let narrow_into cost (dst : vec) (v : vec) =
   end
   else invalid_arg "Simd.narrow_into: width must equal or double dst"
 
-(** [transpose3x4_into cost x y z dst] is {!transpose3x4} written as
-    the 12 floats [x1 y1 z1 x2 y2 z2 x3 y3 z3 x4 y4 z4] into [dst].
-    The six shuffles move lanes without arithmetic, so the values are
-    a pure permutation of the inputs; the charge stays six vector
-    instructions. *)
+(** [transpose3x4_into cost x y z dst] converts three 4-lane vectors
+    holding [x1..x4], [y1..y4], [z1..z4] into the per-particle order
+    [x1 y1 z1 x2 y2 z2 x3 y3 z3 x4 y4 z4], written as 12 floats into
+    [dst].  On the hardware this is the six-[simd_vshuff] sequence of
+    Figure 7 in the paper; the shuffles move lanes without arithmetic,
+    so the values are a pure permutation of the inputs and the charge
+    is six vector instructions. *)
 let transpose3x4_into cost (x : vec) (y : vec) (z : vec) (dst : float array) =
   if width x <> 4 || width y <> 4 || width z <> 4 then
     invalid_arg "Simd.transpose3x4_into: width must be 4";

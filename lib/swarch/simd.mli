@@ -9,12 +9,14 @@
     precision on every operation so that the optimized kernels really
     compute in mixed precision, as the paper's do.  With 4 lanes every
     operation (values and charges) is bit-identical to the historical
-    [floatv4] emulation. *)
+    [floatv4] emulation.
+
+    Every operation writes into a caller-owned destination vector, so
+    the kernel inner loops run on a fixed set of scratch vectors and
+    never touch the minor heap.  A destination may alias an operand.
+    Operand widths must agree; a mismatch raises [Invalid_argument]. *)
 
 type vec
-
-type v4 = vec
-(** Compatibility alias from when the module was hardwired to 4 lanes. *)
 
 (** [round32 x] is [x] rounded to the nearest representable IEEE-754
     single-precision value. *)
@@ -23,151 +25,72 @@ val round32 : float -> float
 (** [width v] is the number of lanes in [v]. *)
 val width : vec -> int
 
-(** [splat w x] is a [w]-lane vector with all lanes [round32 x]; free. *)
-val splat : int -> float -> vec
-
-(** [init w f] builds a [w]-lane vector with lane [i] = [round32 (f i)];
-    free (a register load/permute from LDM). *)
-val init : int -> (int -> float) -> vec
-
-(** [make a b c d] builds a 4-lane vector from four lane values. *)
-val make : float -> float -> float -> float -> vec
-
-(** [zero w] is the [w]-lane all-zero vector. *)
+(** [zero w] is a fresh [w]-lane all-zero vector. *)
 val zero : int -> vec
-
-(** [copy v] is an independent copy of [v]. *)
-val copy : vec -> vec
 
 (** [lane v i] extracts lane [i]. *)
 val lane : vec -> int -> float
 
-(** [set_lane v i x] stores [round32 x] in lane [i]. *)
-val set_lane : vec -> int -> float -> unit
-
-(** [to_array v] is the lanes as a fresh float array. *)
-val to_array : vec -> float array
-
-(** [of_array w arr off] loads [w] consecutive lanes from [arr] starting
-    at [off] (no cost: models a register load from LDM). *)
-val of_array : int -> float array -> int -> vec
-
-(** [slice v off len] is lanes [off .. off+len-1] of [v]; free (a
-    register half/quarter extract). *)
-val slice : vec -> int -> int -> vec
-
-(** [add cost x y] is the lane-wise sum; one vector instruction. *)
-val add : Cost.t -> vec -> vec -> vec
-
-(** [sub cost x y] is the lane-wise difference; one vector instruction. *)
-val sub : Cost.t -> vec -> vec -> vec
-
-(** [mul cost x y] is the lane-wise product; one vector instruction. *)
-val mul : Cost.t -> vec -> vec -> vec
-
-(** [div cost x y] is the lane-wise quotient; one vector instruction. *)
-val div : Cost.t -> vec -> vec -> vec
-
-(** [fma cost x y z] is [x*y + z]; one (fused) vector instruction. *)
-val fma : Cost.t -> vec -> vec -> vec -> vec
-
-(** [round cost x] is the lane-wise round-to-nearest; one vector
-    instruction (used by the periodic minimum-image fold). *)
-val round : Cost.t -> vec -> vec
-
-(** [rsqrt cost x] is the lane-wise reciprocal square root. *)
-val rsqrt : Cost.t -> vec -> vec
-
-(** [cmp_lt cost x y] is a lane mask: 1.0 where [x < y], else 0.0. *)
-val cmp_lt : Cost.t -> vec -> vec -> vec
-
-(** [select cost mask x y] is lane-wise [mask <> 0 ? x : y]. *)
-val select : Cost.t -> vec -> vec -> vec -> vec
-
-(** [hsum cost v] is the horizontal sum of the lanes, charged as one
-    shuffle-add per halving round (2 vector instructions at 4 lanes,
-    3 at 8). *)
+(** [hsum cost v] is the horizontal sum of the lanes: adjacent pairs
+    added and rounded per halving round, each round charged as one
+    shuffle-add vector instruction (2 at 4 lanes, 3 at 8).  The width
+    must be a power of two. *)
 val hsum : Cost.t -> vec -> float
 
-(** [hsum_part cost v off len] is [hsum cost (slice v off len)]
-    without materialising the slice; [len] must be a power of two. *)
+(** [hsum_part cost v off len] is the horizontal sum of lanes
+    [off .. off+len-1], the same tree and charges as {!hsum} over a
+    [len]-lane vector; [len] must be a power of two. *)
 val hsum_part : Cost.t -> vec -> int -> int -> float
-
-(** [narrow cost v n] folds [v] to [n] lanes by adding upper halves
-    onto lower halves, one vector instruction per halving; free
-    identity when [v] is already [n] lanes wide. *)
-val narrow : Cost.t -> vec -> int -> vec
-
-(** [vshuff cost x y (i, j, k, l)] is the [simd_vshulff] instruction of
-    the paper, applied within each 4-lane group: lanes [i], [j] of [x]
-    followed by lanes [k], [l] of [y]; one vector instruction. *)
-val vshuff : Cost.t -> vec -> vec -> int * int * int * int -> vec
-
-(** [transpose3x4 cost x y z] converts three 4-lane vectors holding
-    [x1..x4], [y1..y4], [z1..z4] into four per-particle triples using
-    the six-shuffle sequence of Figure 7.  Requires width 4. *)
-val transpose3x4 :
-  Cost.t ->
-  vec ->
-  vec ->
-  vec ->
-  (float * float * float)
-  * (float * float * float)
-  * (float * float * float)
-  * (float * float * float)
-
-(** {2 In-place API}
-
-    Destination-passing variants of the operations above.  Each
-    performs exactly the same lane arithmetic in the same order as its
-    allocating twin and charges the same cost, but writes into a
-    caller-owned vector instead of allocating — the kernel inner loops
-    run on a fixed set of scratch vectors and never touch the minor
-    heap.  A destination may alias an operand. *)
 
 (** [splat_into dst x] fills every lane of [dst] with [round32 x]; free. *)
 val splat_into : vec -> float -> unit
 
 (** [init_into dst f] sets lane [i] of [dst] to [round32 (f i)] in
-    ascending lane order; free. *)
+    ascending lane order; free (a register load/permute from LDM). *)
 val init_into : vec -> (int -> float) -> unit
 
-(** [copy_into dst src] copies the lanes of [src] into [dst]; free. *)
-val copy_into : vec -> vec -> unit
-
-(** [add_into cost dst x y] is {!add} into [dst]. *)
+(** [add_into cost dst x y] writes the lane-wise sum [x + y] into
+    [dst]; one vector instruction. *)
 val add_into : Cost.t -> vec -> vec -> vec -> unit
 
-(** [sub_into cost dst x y] is {!sub} into [dst]. *)
+(** [sub_into cost dst x y] writes the lane-wise difference [x - y]
+    into [dst]; one vector instruction. *)
 val sub_into : Cost.t -> vec -> vec -> vec -> unit
 
-(** [mul_into cost dst x y] is {!mul} into [dst]. *)
+(** [mul_into cost dst x y] writes the lane-wise product [x * y] into
+    [dst]; one vector instruction. *)
 val mul_into : Cost.t -> vec -> vec -> vec -> unit
 
-(** [div_into cost dst x y] is {!div} into [dst]. *)
-val div_into : Cost.t -> vec -> vec -> vec -> unit
-
-(** [fma_into cost dst x y z] is {!fma} into [dst]. *)
+(** [fma_into cost dst x y z] writes [x*y + z] into [dst], rounded
+    once per lane; one (fused) vector instruction. *)
 val fma_into : Cost.t -> vec -> vec -> vec -> vec -> unit
 
-(** [round_into cost dst x] is {!round} into [dst]. *)
+(** [round_into cost dst x] writes the lane-wise round-to-nearest of
+    [x] into [dst]; one vector instruction (used by the periodic
+    minimum-image fold). *)
 val round_into : Cost.t -> vec -> vec -> unit
 
-(** [rsqrt_into cost dst x] is {!rsqrt} into [dst]. *)
+(** [rsqrt_into cost dst x] writes the lane-wise reciprocal square
+    root of [x] into [dst]; one vector instruction. *)
 val rsqrt_into : Cost.t -> vec -> vec -> unit
 
-(** [cmp_lt_into cost dst x y] is {!cmp_lt} into [dst]. *)
+(** [cmp_lt_into cost dst x y] writes a lane mask into [dst]: 1.0
+    where [x < y], else 0.0; one vector instruction. *)
 val cmp_lt_into : Cost.t -> vec -> vec -> vec -> unit
 
-(** [select_into cost dst mask x y] is {!select} into [dst]. *)
+(** [select_into cost dst mask x y] writes lane-wise
+    [mask <> 0 ? x : y] into [dst]; one vector instruction. *)
 val select_into : Cost.t -> vec -> vec -> vec -> vec -> unit
 
-(** [narrow_into cost dst v] is {!narrow} of [v] to [dst]'s width,
-    written into [dst]; the widths must be equal (free copy) or [v]
-    twice as wide (one halving add). *)
+(** [narrow_into cost dst v] folds [v] down to [dst]'s width: a free
+    copy when the widths are equal, one halving-add instruction (upper
+    half onto lower half) when [v] is twice as wide.  Any other pair of
+    widths raises [Invalid_argument]. *)
 val narrow_into : Cost.t -> vec -> vec -> unit
 
-(** [transpose3x4_into cost x y z dst] is {!transpose3x4} written as
-    the 12 floats [x1 y1 z1 ... x4 y4 z4] into [dst]; six vector
-    instructions, no arithmetic (a pure lane permutation). *)
+(** [transpose3x4_into cost x y z dst] converts three 4-lane vectors
+    holding [x1..x4], [y1..y4], [z1..z4] into the per-particle order
+    [x1 y1 z1 ... x4 y4 z4], written as 12 floats into [dst].  Charged
+    as the six-[simd_vshuff] sequence of Figure 7 in the paper: six
+    vector instructions, no arithmetic. *)
 val transpose3x4_into : Cost.t -> vec -> vec -> vec -> float array -> unit

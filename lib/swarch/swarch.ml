@@ -23,5 +23,4 @@ module Simd = Simd
 module Cpe = Cpe
 module Mpe = Mpe
 module Core_group = Core_group
-module Chip = Chip
 module Platforms = Platforms

@@ -431,10 +431,12 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
     invalid_arg "Kernel_cpe.run: the RCA baseline is scalar";
   if buffers < 1 then invalid_arg "Kernel_cpe.run: buffers < 1";
   let cfg = sys.K.cfg in
-  if spec.vector && cfg.Swarch.Config.simd_lanes mod Cluster.size <> 0 then
+  let lanes = cfg.Swarch.Config.simd_lanes in
+  if spec.vector && lanes <> Cluster.size && lanes <> 2 * Cluster.size then
     invalid_arg
-      "Kernel_cpe.run: the vector kernels need a SIMD width that is a \
-       multiple of the cluster size";
+      (Printf.sprintf
+         "Kernel_cpe.run: the vector kernels need %d or %d SIMD lanes, not %d"
+         Cluster.size (2 * Cluster.size) lanes);
   let res = K.empty_result sys in
   let n_cpes = Array.length cg.Swarch.Core_group.cpes in
   let layout = if spec.vector then Package.Soa else Package.Aos in
