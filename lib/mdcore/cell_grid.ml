@@ -66,27 +66,35 @@ let n_cells t = t.nx * t.ny * t.nz
 
 (** [iter_cell t c f] applies [f] to every point in flat cell [c]. *)
 let iter_cell t c f =
-  let rec go i = if i >= 0 then begin f i; go t.next.(i) end in
-  go t.heads.(c)
+  let i = ref t.heads.(c) in
+  while !i >= 0 do
+    f !i;
+    i := t.next.(!i)
+  done
+
+(* The last of the offsets -1, 0, +1 that reaches a cell not already
+   reached along an axis of [n] cells: with fewer than three cells the
+   offsets wrap onto each other, and only the first of each equal set
+   is walked. *)
+let last_offset n = if n >= 3 then 1 else if n = 2 then 0 else -1
 
 (** [iter_neighbourhood t p f] applies [f] to every point in the 27
     cells around the cell containing [p] (each point once, even in tiny
-    grids where neighbourhoods alias). *)
+    grids where neighbourhoods alias).  Cells are walked in
+    z-y-x offset order.  A cell reached twice is reached through
+    aliased offsets on some axis, so skipping the aliased offsets per
+    axis visits each cell once, at its first position in that order,
+    with no set of visited cells. *)
 let iter_neighbourhood t (p : Vec3.t) f =
   let fidx x l n = int_of_float (Float.floor (x /. l *. float_of_int n)) in
   let p = Box.wrap t.box p in
   let cx = fidx p.Vec3.x t.box.Box.lx t.nx
   and cy = fidx p.Vec3.y t.box.Box.ly t.ny
   and cz = fidx p.Vec3.z t.box.Box.lz t.nz in
-  let seen = Hashtbl.create 27 in
-  for dz = -1 to 1 do
-    for dy = -1 to 1 do
-      for dx = -1 to 1 do
-        let c = cell_index t (cx + dx) (cy + dy) (cz + dz) in
-        if not (Hashtbl.mem seen c) then begin
-          Hashtbl.add seen c ();
-          iter_cell t c f
-        end
+  for dz = -1 to last_offset t.nz do
+    for dy = -1 to last_offset t.ny do
+      for dx = -1 to last_offset t.nx do
+        iter_cell t (cell_index t (cx + dx) (cy + dy) (cz + dz)) f
       done
     done
   done

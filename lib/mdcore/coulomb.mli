@@ -33,6 +33,20 @@ val ewald_real_energy : beta:float -> qq:float -> float -> float
     real-space Ewald term. *)
 val ewald_real_force_over_r : beta:float -> qq:float -> float -> float
 
+(** [ewald_real_into ~beta ~n ~qq ~r2 ~f ~e] sets [f.(l)] to
+    [ewald_real_force_over_r ~beta ~qq:qq.(l) r2.(l)] and [e.(l)] to
+    [ewald_real_energy ~beta ~qq:qq.(l) r2.(l)], bit for bit, for lanes
+    [0 .. n-1] — the kernels' lane form, one erfc and one exponential
+    per lane, with no float passed across the call. *)
+val ewald_real_into :
+  beta:float ->
+  n:int ->
+  qq:float array ->
+  r2:float array ->
+  f:float array ->
+  e:float array ->
+  unit
+
 (** [self_energy ~beta charges] is the Ewald self-interaction
     correction, subtracted once from the reciprocal energy. *)
 val self_energy : beta:float -> float array -> float

@@ -13,19 +13,20 @@
 (** B-spline interpolation order (GROMACS default pme_order = 4). *)
 let order = 4
 
-(* Cardinal B-spline by the standard recursion M_n from M_2. *)
-let rec m_spline n u =
-  if n = 2 then if u < 0.0 || u > 2.0 then 0.0 else 1.0 -. Float.abs (u -. 1.0)
-  else
-    let fn = float_of_int n in
-    (u /. (fn -. 1.0) *. m_spline (n - 1) u)
-    +. ((fn -. u) /. (fn -. 1.0) *. m_spline (n - 1) (u -. 1.0))
+(* Cardinal B-splines by the standard recursion
+   [M_n(u) = u/(n-1) M_{n-1}(u) + (n-u)/(n-1) M_{n-1}(u-1)] from M_2,
+   unrolled to the order used so that no level boxes its result. *)
+let[@inline] m2 u = if u < 0.0 || u > 2.0 then 0.0 else 1.0 -. Float.abs (u -. 1.0)
+
+let[@inline] m3 u = (u /. 2.0 *. m2 u) +. ((3.0 -. u) /. 2.0 *. m2 (u -. 1.0))
+
+let[@inline] m4 u = (u /. 3.0 *. m3 u) +. ((4.0 -. u) /. 3.0 *. m3 (u -. 1.0))
 
 (** [spline u] is the order-4 B-spline value at [u]. *)
-let spline u = m_spline order u
+let spline u = m4 u
 
 (** [spline_deriv u] is its derivative, [M3(u) - M3(u-1)]. *)
-let spline_deriv u = m_spline (order - 1) u -. m_spline (order - 1) (u -. 1.0)
+let[@inline] spline_deriv u = m3 u -. m3 (u -. 1.0)
 
 type t = {
   grid : Fft.grid3;
@@ -35,7 +36,31 @@ type t = {
   bsp_mod_x : float array;  (** |b(m)|^2 per dimension *)
   bsp_mod_y : float array;
   bsp_mod_z : float array;
+  stencil : stencil;  (** one atom's spline stencil, reused per atom *)
 }
+
+(* The [order] grid points an atom touches along each axis, with the
+   spline weights and derivatives there: filled per atom, so the
+   spread and gather loops allocate nothing. *)
+and stencil = {
+  gx : int array;
+  gy : int array;
+  gz : int array;
+  wx : float array;
+  wy : float array;
+  wz : float array;
+  dx : float array;
+  dy : float array;
+  dz : float array;
+}
+
+let make_stencil () =
+  let ints () = Array.make order 0 and floats () = Array.make order 0.0 in
+  {
+    gx = ints (); gy = ints (); gz = ints ();
+    wx = floats (); wy = floats (); wz = floats ();
+    dx = floats (); dy = floats (); dz = floats ();
+  }
 
 (* |b(m)|^2 for the smooth-PME Euler exponential spline. *)
 let bsp_mod k =
@@ -70,17 +95,28 @@ let create ~grid_dim ~box ~beta =
     bsp_mod_x = bsp_mod grid_dim;
     bsp_mod_y = bsp_mod grid_dim;
     bsp_mod_z = bsp_mod grid_dim;
+    stencil = make_stencil ();
   }
 
-(* Spline weights and grid indices for one coordinate. *)
-let spread_axis ~len ~k x =
+(* Grid indices, spline weights and derivatives of one coordinate,
+   written into [g], [w] and [d]. *)
+let spread_axis ~len ~k x (g : int array) (w : float array) (d : float array) =
   let u = x /. len *. float_of_int k in
   let k0 = int_of_float (Float.floor u) in
-  let w = u -. float_of_int k0 in
-  (* grid points k0 - j for j = 0..order-1, weight M4(w + j) *)
-  Array.init order (fun j ->
-      let g = ((k0 - j) mod k + k) mod k in
-      (g, spline (w +. float_of_int j), spline_deriv (w +. float_of_int j)))
+  let f = u -. float_of_int k0 in
+  (* grid points k0 - j for j = 0..order-1, weight M4(f + j) *)
+  for j = 0 to order - 1 do
+    g.(j) <- ((k0 - j) mod k + k) mod k;
+    w.(j) <- m4 (f +. float_of_int j);
+    d.(j) <- spline_deriv (f +. float_of_int j)
+  done
+
+(* the stencil of the atom at [(px, py, pz)] on [g] *)
+let fill_stencil t (g : Fft.grid3) px py pz =
+  let s = t.stencil in
+  spread_axis ~len:t.box.Box.lx ~k:g.Fft.nx px s.gx s.wx s.dx;
+  spread_axis ~len:t.box.Box.ly ~k:g.Fft.ny py s.gy s.wy s.dy;
+  spread_axis ~len:t.box.Box.lz ~k:g.Fft.nz pz s.gz s.wz s.dz
 
 (** [spread t ~pos ~charge ~n] deposits the [n] charges onto the grid
     (overwrites previous contents). *)
@@ -93,20 +129,16 @@ let spread t ~(pos : Fbuf.t) ~charge ~n =
       let px = Box.wrap1 (Fbuf.unsafe_get pos (3 * i)) t.box.Box.lx in
       let py = Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 1)) t.box.Box.ly in
       let pz = Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 2)) t.box.Box.lz in
-      let wx = spread_axis ~len:t.box.Box.lx ~k:g.Fft.nx px in
-      let wy = spread_axis ~len:t.box.Box.ly ~k:g.Fft.ny py in
-      let wz = spread_axis ~len:t.box.Box.lz ~k:g.Fft.nz pz in
-      Array.iter
-        (fun (gz, wz_v, _) ->
-          Array.iter
-            (fun (gy, wy_v, _) ->
-              Array.iter
-                (fun (gx, wx_v, _) ->
-                  let idx = Fft.index g gx gy gz in
-                  g.Fft.re.(idx) <- g.Fft.re.(idx) +. (q *. wx_v *. wy_v *. wz_v))
-                wx)
-            wy)
-        wz
+      fill_stencil t g px py pz;
+      let s = t.stencil in
+      for c = 0 to order - 1 do
+        for b = 0 to order - 1 do
+          for a = 0 to order - 1 do
+            let idx = Fft.index g s.gx.(a) s.gy.(b) s.gz.(c) in
+            g.Fft.re.(idx) <- g.Fft.re.(idx) +. (q *. s.wx.(a) *. s.wy.(b) *. s.wz.(c))
+          done
+        done
+      done
     end
   done
 
@@ -171,23 +203,19 @@ let gather_forces t ~(pos : Fbuf.t) ~charge ~n ~(force : Fbuf.t) =
       let px = Box.wrap1 (Fbuf.unsafe_get pos (3 * i)) t.box.Box.lx in
       let py = Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 1)) t.box.Box.ly in
       let pz = Box.wrap1 (Fbuf.unsafe_get pos ((3 * i) + 2)) t.box.Box.lz in
-      let wx = spread_axis ~len:t.box.Box.lx ~k:g.Fft.nx px in
-      let wy = spread_axis ~len:t.box.Box.ly ~k:g.Fft.ny py in
-      let wz = spread_axis ~len:t.box.Box.lz ~k:g.Fft.nz pz in
+      fill_stencil t g px py pz;
+      let s = t.stencil in
       let fx = ref 0.0 and fy = ref 0.0 and fz = ref 0.0 in
-      Array.iter
-        (fun (gz, wz_v, dz_v) ->
-          Array.iter
-            (fun (gy, wy_v, dy_v) ->
-              Array.iter
-                (fun (gx, wx_v, dx_v) ->
-                  let c = g.Fft.re.(Fft.index g gx gy gz) in
-                  fx := !fx +. (dx_v *. wy_v *. wz_v *. c);
-                  fy := !fy +. (wx_v *. dy_v *. wz_v *. c);
-                  fz := !fz +. (wx_v *. wy_v *. dz_v *. c))
-                wx)
-            wy)
-        wz;
+      for c = 0 to order - 1 do
+        for b = 0 to order - 1 do
+          for a = 0 to order - 1 do
+            let v = g.Fft.re.(Fft.index g s.gx.(a) s.gy.(b) s.gz.(c)) in
+            fx := !fx +. (s.dx.(a) *. s.wy.(b) *. s.wz.(c) *. v);
+            fy := !fy +. (s.wx.(a) *. s.dy.(b) *. s.wz.(c) *. v);
+            fz := !fz +. (s.wx.(a) *. s.wy.(b) *. s.dz.(c) *. v)
+          done
+        done
+      done;
       (* F = -dE/dr = -2 q (K/L) sum_grid M4' w w conv: the factor 2
          comes from the gradient of |Q^|^2, K/L from du/dx *)
       force.{3 * i} <- force.{3 * i} -. (2.0 *. q *. kx *. !fx);

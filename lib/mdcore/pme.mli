@@ -13,6 +13,12 @@ val spline : float -> float
 (** [spline_deriv u] is its derivative. *)
 val spline_deriv : float -> float
 
+(** One atom's spline stencil — grid indices, weights and derivatives
+    per axis — refilled for every atom by {!spread} and
+    {!gather_forces}, so their loops allocate nothing.  A context is
+    therefore used by one domain at a time. *)
+type stencil
+
 type t = {
   grid : Fft.grid3;
   conv : Fft.grid3;  (** convolution workspace *)
@@ -21,6 +27,7 @@ type t = {
   bsp_mod_x : float array;
   bsp_mod_y : float array;
   bsp_mod_z : float array;
+  stencil : stencil;
 }
 
 (** [create ~grid_dim ~box ~beta] allocates a PME context with a cubic

@@ -11,9 +11,16 @@
     operation (values and charges) is bit-identical to the historical
     [floatv4] emulation.
 
-    Every operation writes into a caller-owned destination vector, so
-    the kernel inner loops run on a fixed set of scratch vectors and
-    never touch the minor heap.  A destination may alias an operand.
+    Lanes are stored in single precision, so a store rounds inline.
+    Values enter a vector only through {!gather_into} or {!splat_into}
+    and leave it only through {!store_into}, {!hsum_into} or
+    {!transpose3x4_into}: no op returns a float, so a kernel loop over
+    these ops boxes nothing even when compiled without cross-module
+    inlining.
+
+    Every operation writes into a caller-owned destination, so the
+    kernel inner loops run on a fixed set of scratch vectors and never
+    touch the minor heap.  A destination may alias an operand.
     Operand widths must agree; a mismatch raises [Invalid_argument]. *)
 
 type vec
@@ -28,26 +35,24 @@ val width : vec -> int
 (** [zero w] is a fresh [w]-lane all-zero vector. *)
 val zero : int -> vec
 
-(** [lane v i] extracts lane [i]. *)
-val lane : vec -> int -> float
+(** [gather_into dst src off idx] sets lane [i] of [dst] to
+    [round32 src.(off + idx.(i))]; free (a register load/permute from
+    LDM).  [idx] must hold at least [width dst] entries. *)
+val gather_into : vec -> float array -> int -> int array -> unit
 
-(** [hsum cost v] is the horizontal sum of the lanes: adjacent pairs
-    added and rounded per halving round, each round charged as one
-    shuffle-add vector instruction (2 at 4 lanes, 3 at 8).  The width
-    must be a power of two. *)
-val hsum : Cost.t -> vec -> float
+(** [store_into dst off v] writes lane [i] of [v] to [dst.(off + i)];
+    free (a register store to LDM). *)
+val store_into : float array -> int -> vec -> unit
 
-(** [hsum_part cost v off len] is the horizontal sum of lanes
-    [off .. off+len-1], the same tree and charges as {!hsum} over a
-    [len]-lane vector; [len] must be a power of two. *)
-val hsum_part : Cost.t -> vec -> int -> int -> float
+(** [hsum_into cost v off len out k] writes the horizontal sum of
+    lanes [off .. off+len-1] of [v] to [out.(k)]: adjacent pairs added
+    and rounded per halving round, each round charged as one
+    shuffle-add vector instruction (2 over 4 lanes, 3 over 8).  [len]
+    must be 1, 2, 4 or 8. *)
+val hsum_into : Cost.t -> vec -> int -> int -> float array -> int -> unit
 
 (** [splat_into dst x] fills every lane of [dst] with [round32 x]; free. *)
 val splat_into : vec -> float -> unit
-
-(** [init_into dst f] sets lane [i] of [dst] to [round32 (f i)] in
-    ascending lane order; free (a register load/permute from LDM). *)
-val init_into : vec -> (int -> float) -> unit
 
 (** [add_into cost dst x y] writes the lane-wise sum [x + y] into
     [dst]; one vector instruction. *)

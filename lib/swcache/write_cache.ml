@@ -177,16 +177,18 @@ let accumulate3 t i dx dy dz =
   t.data.(off + 1) <- t.data.(off + 1) +. dy;
   t.data.(off + 2) <- t.data.(off + 2) +. dz
 
-(** [accumulate_at t i base dx dy dz] adds a force triple at float
-    offset [base..base+2] inside element [i] — one cache access, used
-    when an element packs several particles' forces. *)
-let accumulate_at t i base dx dy dz =
+(** [accumulate_at t i base src off] adds the force triple
+    [src.(off) .. src.(off+2)] at float offset [base..base+2] inside
+    element [i] — one cache access, used when an element packs several
+    particles' forces.  The triple is read from an array so that no
+    float crosses the call. *)
+let accumulate_at t i base (src : float array) off =
   if base < 0 || base + 2 >= t.elt_floats then
     invalid_arg "Write_cache.accumulate_at: bad base";
-  let off = touch t i in
-  t.data.(off + base) <- t.data.(off + base) +. dx;
-  t.data.(off + base + 1) <- t.data.(off + base + 1) +. dy;
-  t.data.(off + base + 2) <- t.data.(off + base + 2) +. dz
+  let off_c = touch t i in
+  t.data.(off_c + base) <- t.data.(off_c + base) +. src.(off);
+  t.data.(off_c + base + 1) <- t.data.(off_c + base + 1) +. src.(off + 1);
+  t.data.(off_c + base + 2) <- t.data.(off_c + base + 2) +. src.(off + 2)
 
 (** [flush t] writes every resident line back to the force copy and
     invalidates the cache.  Must be called before the reduction step. *)

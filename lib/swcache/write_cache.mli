@@ -64,9 +64,10 @@ val accumulate : t -> int -> int -> float -> unit
 (** [accumulate3 t i dx dy dz] adds a force triple to element [i]. *)
 val accumulate3 : t -> int -> float -> float -> float -> unit
 
-(** [accumulate_at t i base dx dy dz] adds a force triple at float
-    offset [base..base+2] inside element [i] — one cache access. *)
-val accumulate_at : t -> int -> int -> float -> float -> float -> unit
+(** [accumulate_at t i base src off] adds the force triple
+    [src.(off) .. src.(off+2)] at float offset [base..base+2] inside
+    element [i] — one cache access. *)
+val accumulate_at : t -> int -> int -> float array -> int -> unit
 
 (** [flush t] writes every resident line back to the force copy and
     invalidates the cache.  Must be called before the reduction step. *)

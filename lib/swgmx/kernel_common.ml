@@ -119,9 +119,12 @@ let make (cfg : Swarch.Config.t) ~box ~params ~cl ~topo ~ff ~(pos : Mdcore.Fbuf.
 
 (** [excl_mask sys ci cj] is the 16-bit mask of member pairs (bit
     [4*mi + mj]) that must be skipped for cluster pair [(ci, cj)],
-    [ci <= cj]. *)
+    [ci <= cj].  Looked up without an option, so the per-pair call
+    allocates nothing. *)
 let excl_mask sys ci cj =
-  Option.value ~default:0 (Hashtbl.find_opt sys.excl (pair_key ci cj))
+  match Hashtbl.find sys.excl (pair_key ci cj) with
+  | m -> m
+  | exception Not_found -> 0
 
 type acc = {
   mutable e_lj : float;
@@ -164,7 +167,9 @@ let scatter_forces sys result (dst : Mdcore.Fbuf.t) =
     done
   done
 
-let r32 = Swarch.Simd.round32
+(* [Swarch.Simd.round32], restated here so the pair physics inlines it:
+   a call into another module would box its argument and its result *)
+let[@inline] r32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 (** Flops charged for the minimum-image distance computation and
     cut-off test of one particle pair. *)
@@ -180,60 +185,57 @@ let flops_interaction sys =
   | Nonbonded.Ewald_real _ -> 60.0
 
 type pair_out = {
-  mutable p_f : float;  (** force over distance, [f_over_r] *)
-  mutable p_e_lj : float;
-  mutable p_e_coul : float;
+  p_r2 : float array;  (** in: squared distance *)
+  p_qq : float array;  (** in: charge product *)
+  p_f : float array;  (** out: force over distance, [f_over_r] *)
+  p_e_lj : float array;  (** out: Lennard-Jones energy *)
+  p_e_coul : float array;  (** out: short-range Coulomb energy *)
 }
-(** Out-parameter of {!pair_interaction_into}; all-float, hence flat —
-    the kernels keep one per run and the per-pair stores never box. *)
+(** In- and out-parameters of {!pair_interaction_into}, one lane each.
+    The kernels keep one per run; every float travels through these
+    arrays, so a per-pair call boxes nothing. *)
 
 (** [fresh_pair_out ()] is a zeroed {!pair_out}. *)
-let fresh_pair_out () = { p_f = 0.0; p_e_lj = 0.0; p_e_coul = 0.0 }
+let fresh_pair_out () =
+  let lane () = [| 0.0 |] in
+  { p_r2 = lane (); p_qq = lane (); p_f = lane (); p_e_lj = lane (); p_e_coul = lane () }
 
-(** [pair_interaction_into sys ~r2 ~qq ~ti ~tj out] computes
-    [f_over_r], [e_lj] and [e_coul] of one in-range pair through
+(** [pair_interaction_into sys ~ti ~tj out] computes [f_over_r],
+    [e_lj] and [e_coul] of one in-range pair with squared distance
+    [out.p_r2.(0)] and charge product [out.p_qq.(0)], through
     single-precision rounding (the optimized kernels run in GROMACS
-    "mixed" precision) and stores them in [out] — destination-passing
-    so the per-pair loop allocates no result tuple. *)
-let pair_interaction_into sys ~r2 ~qq ~ti ~tj (out : pair_out) =
-  let c6 = Mdcore.Forcefield.c6 sys.ff ti tj
-  and c12 = Mdcore.Forcefield.c12 sys.ff ti tj in
-  let r2 = r32 r2 in
+    "mixed" precision), and stores them in [out].  On return
+    [out.p_r2.(0)] holds the rounded distance.  The Ewald term is
+    {!Mdcore.Coulomb.ewald_real_into} at one lane, the same function
+    the vector kernel runs. *)
+let pair_interaction_into sys ~ti ~tj (out : pair_out) =
+  let ff = sys.ff in
+  let tp = (ti * Array.length ff.Mdcore.Forcefield.types) + tj in
+  let c6 = ff.Mdcore.Forcefield.c6.(tp) and c12 = ff.Mdcore.Forcefield.c12.(tp) in
+  let r2 = r32 out.p_r2.(0) in
+  out.p_r2.(0) <- r2;
+  let qq = out.p_qq.(0) in
   let inv_r2 = r32 (1.0 /. r2) in
   let inv_r6 = r32 (inv_r2 *. inv_r2 *. inv_r2) in
   let e_lj = r32 ((c12 *. inv_r6 *. inv_r6) -. (c6 *. inv_r6)) in
   let f_lj =
     r32 (((12.0 *. c12 *. inv_r6 *. inv_r6) -. (6.0 *. c6 *. inv_r6)) *. inv_r2)
   in
-  (* two separate matches instead of one returning a pair: binding a
-     tuple would allocate it on every in-range pair *)
-  let f_el =
-    match sys.params.Nonbonded.elec with
-    | Nonbonded.Reaction_field ->
-        let r = r32 (sqrt r2) in
-        r32 (Mdcore.Forcefield.ke *. qq *. ((1.0 /. (r2 *. r)) -. (2.0 *. sys.krf)))
-    | Nonbonded.Ewald_real beta ->
-        r32 (Mdcore.Coulomb.ewald_real_force_over_r ~beta ~qq r2)
-  in
-  let e_el =
-    match sys.params.Nonbonded.elec with
-    | Nonbonded.Reaction_field ->
-        let r = r32 (sqrt r2) in
+  (* the electrostatic force and energy land in [p_f] and [p_e_coul] *)
+  (match sys.params.Nonbonded.elec with
+  | Nonbonded.Reaction_field ->
+      let r = r32 (sqrt r2) in
+      out.p_f.(0) <-
+        r32 (Mdcore.Forcefield.ke *. qq *. ((1.0 /. (r2 *. r)) -. (2.0 *. sys.krf)));
+      out.p_e_coul.(0) <-
         r32 (Mdcore.Forcefield.ke *. qq *. ((1.0 /. r) +. (sys.krf *. r2) -. sys.crf))
-    | Nonbonded.Ewald_real beta ->
-        r32 (Mdcore.Coulomb.ewald_real_energy ~beta ~qq r2)
-  in
-  out.p_f <- r32 (f_lj +. f_el);
-  out.p_e_lj <- e_lj;
-  out.p_e_coul <- e_el
-
-(** [pair_interaction sys ~r2 ~qq ~ti ~tj] is
-    [(f_over_r, e_lj, e_coul)] of one in-range pair — the tupled
-    convenience form of {!pair_interaction_into}. *)
-let pair_interaction sys ~r2 ~qq ~ti ~tj =
-  let out = fresh_pair_out () in
-  pair_interaction_into sys ~r2 ~qq ~ti ~tj out;
-  (out.p_f, out.p_e_lj, out.p_e_coul)
+  | Nonbonded.Ewald_real beta ->
+      Mdcore.Coulomb.ewald_real_into ~beta ~n:1 ~qq:out.p_qq ~r2:out.p_r2
+        ~f:out.p_f ~e:out.p_e_coul;
+      out.p_f.(0) <- r32 out.p_f.(0);
+      out.p_e_coul.(0) <- r32 out.p_e_coul.(0));
+  out.p_f.(0) <- r32 (f_lj +. out.p_f.(0));
+  out.p_e_lj.(0) <- e_lj
 
 (** [partition n_clusters n_cpes cpe] is the contiguous [lo, hi) block
     of i-clusters assigned to CPE [cpe] — the outer-loop partitioning

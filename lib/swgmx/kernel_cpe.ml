@@ -61,48 +61,62 @@ type stats = {
 
 (* --- inner pair loops -------------------------------------------------- *)
 
-(* Minimum-image fold of one displacement component (scalar). *)
-let mi d l = d -. (l *. Float.round (d /. l))
+(* No float crosses a call in the per-pair and per-block loops below:
+   the library is compiled without cross-module inlining, so a float
+   argument or result of another module's function (or of a closure)
+   is boxed on the heap.  Floats move through arrays instead — the
+   pair-physics scratch, the FB block, the vector gathers and stores —
+   and computed cost charges are hoisted into the per-slice scratch. *)
 
-(* The scalar member-pair loop of one cluster pair.  [apply_b] receives
-   (mj, fx, fy, fz) increments for the j side; FA accumulates in [fa].
-   [scale] weights energies (0.5 for duplicated RCA directions).
-   [pout] is the caller's reusable pair-interaction out-record: the
-   per-pair physics writes into it instead of allocating a tuple. *)
+(* Minimum-image fold of one displacement component (scalar). *)
+let[@inline] mi d l = d -. (l *. Float.round (d /. l))
+
+(* The scalar member-pair loop of one cluster pair, over AoS packages
+   (Fig 2: per particle [x y z q t pad]).  Each pair's j-side increment
+   is staged in [inc] and applied by [apply_b ci cj mj]; FA accumulates
+   in [fa].  [scale] weights energies (0.5 for duplicated RCA
+   directions).  [pout] is the caller's reusable pair-physics scratch. *)
 let scalar_pairs sys (cpe : Swarch.Cpe.t) (res : K.result) ~ci ~cj ~ibuf ~jbuf
-    ~joff ~layout ~fa ~pout ~apply_b ~scale =
+    ~joff ~fa ~inc ~pout ~apply_b ~scale =
   let cost = cpe.Swarch.Cpe.cost in
   let box = sys.K.box in
+  let lx = box.K.Box.lx and ly = box.K.Box.ly and lz = box.K.Box.lz in
   let rcut2 = sys.K.params.K.Nonbonded.rcut *. sys.K.params.K.Nonbonded.rcut in
   let ni = Cluster.count sys.K.cl ci and nj = Cluster.count sys.K.cl cj in
   let mask = K.excl_mask sys (min ci cj) (max ci cj) in
+  let fpp = Package.floats_per_particle in
   for mi_ = 0 to ni - 1 do
+    let ia = mi_ * fpp in
     let mj_start = if ci = cj then mi_ + 1 else 0 in
     for mj = mj_start to nj - 1 do
+      let ja = joff + (mj * fpp) in
       let bit = if ci <= cj then (4 * mi_) + mj else (4 * mj) + mi_ in
       if mask land (1 lsl bit) = 0 then begin
         Cost.flops cost K.flops_distance;
-        let dx = mi (Package.x ~layout ibuf 0 mi_ -. Package.x ~layout jbuf joff mj) box.K.Box.lx
-        and dy = mi (Package.y ~layout ibuf 0 mi_ -. Package.y ~layout jbuf joff mj) box.K.Box.ly
-        and dz = mi (Package.z ~layout ibuf 0 mi_ -. Package.z ~layout jbuf joff mj) box.K.Box.lz in
+        let dx = mi (ibuf.(ia) -. jbuf.(ja)) lx
+        and dy = mi (ibuf.(ia + 1) -. jbuf.(ja + 1)) ly
+        and dz = mi (ibuf.(ia + 2) -. jbuf.(ja + 2)) lz in
         let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
         if r2 <= rcut2 && r2 > 0.0 then begin
           Cost.flops cost (K.flops_interaction sys);
-          let qq =
-            Package.charge ~layout ibuf 0 mi_ *. Package.charge ~layout jbuf joff mj
-          in
-          let ti = Package.ptype ~layout ibuf 0 mi_
-          and tj = Package.ptype ~layout jbuf joff mj in
-          K.pair_interaction_into sys ~r2 ~qq ~ti ~tj pout;
-          let f = pout.K.p_f in
-          res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. (scale *. pout.K.p_e_lj);
-          res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. (scale *. pout.K.p_e_coul);
+          pout.K.p_r2.(0) <- r2;
+          pout.K.p_qq.(0) <- ibuf.(ia + 3) *. jbuf.(ja + 3);
+          K.pair_interaction_into sys
+            ~ti:(int_of_float ibuf.(ia + 4))
+            ~tj:(int_of_float jbuf.(ja + 4))
+            pout;
+          let f = pout.K.p_f.(0) in
+          res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. (scale *. pout.K.p_e_lj.(0));
+          res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. (scale *. pout.K.p_e_coul.(0));
           res.K.pairs_in_cutoff <- res.K.pairs_in_cutoff + 1;
           let fx = f *. dx and fy = f *. dy and fz = f *. dz in
           fa.((3 * mi_) + 0) <- fa.((3 * mi_) + 0) +. fx;
           fa.((3 * mi_) + 1) <- fa.((3 * mi_) + 1) +. fy;
           fa.((3 * mi_) + 2) <- fa.((3 * mi_) + 2) +. fz;
-          apply_b mj (-.fx) (-.fy) (-.fz)
+          inc.(0) <- -.fx;
+          inc.(1) <- -.fy;
+          inc.(2) <- -.fz;
+          apply_b ci cj mj
         end
       end
     done
@@ -114,7 +128,7 @@ let scalar_pairs sys (cpe : Swarch.Cpe.t) (res : K.result) ~ci ~cj ~ibuf ~jbuf
    vector.  Mirrors the LDM discipline of the real kernels: a CPE has
    a fixed set of vector registers, not a heap. *)
 type vscratch = {
-  (* constants (filled per cluster-pair call; free broadcast loads) *)
+  (* constants, broadcast once per slice (free) *)
   v_rcut2 : Simd.vec;
   v_lx : Simd.vec;
   v_ly : Simd.vec;
@@ -129,7 +143,7 @@ type vscratch = {
   v_two_krf : Simd.vec;
   v_krf : Simd.vec;
   v_crf : Simd.vec;
-  (* i-cluster registers and FA accumulators *)
+  (* i-cluster registers (loaded once per i-cluster) and FA *)
   v_xi : Simd.vec;
   v_yi : Simd.vec;
   v_zi : Simd.vec;
@@ -172,15 +186,45 @@ type vscratch = {
   v_ny : Simd.vec;
   v_nz : Simd.vec;
   v_fa12 : float array;
+  (* lane index tables of the gathers *)
+  lane_id : int array;  (** lane [l] -> [l] *)
+  i_lane : int array;  (** lane -> its i-member (low two bits, Fig 6) *)
+  j_lane : int array;  (** lane -> its j-member in this block, clamped *)
+  tp_lane : int array;  (** lane -> its LJ type-pair table index *)
+  (* LDM staging *)
+  excl : float array;
+      (** per cluster pair, entry [Cluster.size * jm + im]: 1.0 where
+          the member pair interacts (the lane mask before the cut-off) *)
+  a_qq : float array;  (** Ewald lanes: charge products *)
+  a_r2 : float array;  (** Ewald lanes: guarded squared distances *)
+  a_f : float array;  (** Ewald lanes: force over distance *)
+  a_e : float array;  (** Ewald lanes: energies *)
+  sums : float array;  (** horizontal-sum results *)
+  (* cost charges computed once per slice *)
+  c_mask : float;  (** int ops of one block's lane-mask load *)
+  c_lanes : float;  (** int ops of one block's LJ table gather *)
+  c_ewald : float;  (** vector ops of one block's erfc polynomial *)
 }
 
-let make_vscratch lanes =
+let make_vscratch sys lanes =
   let v () = Simd.zero lanes in
+  let splat x =
+    let r = v () in
+    Simd.splat_into r x;
+    r
+  in
+  let box = sys.K.box and rcut = sys.K.params.K.Nonbonded.rcut in
+  let jblk = lanes / Cluster.size in
   {
-    v_rcut2 = v (); v_lx = v (); v_ly = v (); v_lz = v ();
-    v_inv_lx = v (); v_inv_ly = v (); v_inv_lz = v ();
-    v_one = v (); v_twelve = v (); v_six = v (); v_ke = v ();
-    v_two_krf = v (); v_krf = v (); v_crf = v ();
+    v_rcut2 = splat (rcut *. rcut);
+    v_lx = splat box.K.Box.lx; v_ly = splat box.K.Box.ly; v_lz = splat box.K.Box.lz;
+    v_inv_lx = splat (1.0 /. box.K.Box.lx);
+    v_inv_ly = splat (1.0 /. box.K.Box.ly);
+    v_inv_lz = splat (1.0 /. box.K.Box.lz);
+    v_one = splat 1.0; v_twelve = splat 12.0; v_six = splat 6.0;
+    v_ke = splat Mdcore.Forcefield.ke;
+    v_two_krf = splat (2.0 *. sys.K.krf); v_krf = splat sys.K.krf;
+    v_crf = splat sys.K.crf;
     v_xi = v (); v_yi = v (); v_zi = v (); v_qi = v ();
     v_fa_x = v (); v_fa_y = v (); v_fa_z = v ();
     v_mask = v (); v_xj = v (); v_yj = v (); v_zj = v (); v_qj = v ();
@@ -195,115 +239,108 @@ let make_vscratch lanes =
     v_ny = Simd.zero Cluster.size;
     v_nz = Simd.zero Cluster.size;
     v_fa12 = Array.make K.force_floats 0.0;
+    lane_id = Array.init lanes Fun.id;
+    i_lane = Array.init lanes (fun l -> l mod Cluster.size);
+    j_lane = Array.make lanes 0;
+    tp_lane = Array.make lanes 0;
+    excl = Array.make (Cluster.size * Cluster.size) 0.0;
+    a_qq = Array.make lanes 0.0;
+    a_r2 = Array.make lanes 0.0;
+    a_f = Array.make lanes 0.0;
+    a_e = Array.make lanes 0.0;
+    sums = Array.make 3 0.0;
+    c_mask = 2.0 *. float_of_int jblk;
+    c_lanes = float_of_int lanes;
+    c_ewald = 8.0 *. float_of_int jblk;
   }
 
+(* [load_i s ibuf] loads the i-cluster registers from the SoA package
+   [ibuf] (Fig 6: [x1..x4 | y1.. | z1.. | q1.. | t1.. | pad]), once per
+   i-cluster; free. *)
+let load_i s ibuf =
+  Simd.gather_into s.v_xi ibuf 0 s.i_lane;
+  Simd.gather_into s.v_yi ibuf Cluster.size s.i_lane;
+  Simd.gather_into s.v_zi ibuf (2 * Cluster.size) s.i_lane;
+  Simd.gather_into s.v_qi ibuf (3 * Cluster.size) s.i_lane
+
+(* in-place minimum image: d <- d - l * round (d * inv_l) *)
+let mi_v cost s d l inv_l =
+  Simd.mul_into cost s.v_t1 d inv_l;
+  Simd.round_into cost s.v_t1 s.v_t1;
+  Simd.mul_into cost s.v_t1 s.v_t1 l;
+  Simd.sub_into cost d d s.v_t1
+
 (* Vectorized member-pair loop, lane-count parametric.  The platform's
-   SIMD width is a multiple of the cluster size: the low two bits of a
-   lane select the i-member (Fig 6) and the upper bits select one of
+   SIMD width is one or two clusters: the low two bits of a lane
+   select the i-member (Fig 6) and the upper bits select one of
    [lanes / Cluster.size] j-members processed per vector block (1 on
    the 4-lane SW26010, 2 on the 8-lane SW26010-Pro).  Exclusion,
    padding, self and cut-off handling all fold into one lane mask.
-   Every operation runs in place on [s]: same arithmetic, same order
-   and same charges as the historical allocating loop (the in-place
-   ops are lane-for-lane identical), but the block loop touches no
-   heap vector.  FA accumulates in [s.v_fa_x/y/z]. *)
+   Every operation runs in place on [s], with the i registers already
+   loaded by {!load_i}; same arithmetic, same order and same charges
+   as the historical allocating loop.  FA accumulates in
+   [s.v_fa_x/y/z]; FB increments go straight into the slice's [fb]
+   block (every vector variant writes through the deferred cache). *)
 let vector_pairs sys (cpe : Swarch.Cpe.t) (res : K.result) ~ci ~cj ~ibuf ~jbuf
-    ~joff ~(s : vscratch) ~apply_b ~scale =
+    ~joff ~(s : vscratch) ~fb ~fb_used =
   let cost = cpe.Swarch.Cpe.cost in
-  let box = sys.K.box in
-  let lanes = sys.K.cfg.Swarch.Config.simd_lanes in
+  let lanes = Array.length s.lane_id in
   let jblk = lanes / Cluster.size in
-  Simd.splat_into s.v_rcut2
-    (sys.K.params.K.Nonbonded.rcut *. sys.K.params.K.Nonbonded.rcut);
   let ni = Cluster.count sys.K.cl ci and nj = Cluster.count sys.K.cl cj in
   let mask_bits = K.excl_mask sys (min ci cj) (max ci cj) in
-  let soa = Package.Soa in
-  let im_of l = l mod Cluster.size in
-  Simd.init_into s.v_xi (fun l -> ibuf.(im_of l));
-  Simd.init_into s.v_yi (fun l -> ibuf.(Cluster.size + im_of l));
-  Simd.init_into s.v_zi (fun l -> ibuf.((2 * Cluster.size) + im_of l));
-  Simd.init_into s.v_qi (fun l -> ibuf.((3 * Cluster.size) + im_of l));
-  Simd.splat_into s.v_lx box.K.Box.lx;
-  Simd.splat_into s.v_ly box.K.Box.ly;
-  Simd.splat_into s.v_lz box.K.Box.lz;
-  Simd.splat_into s.v_inv_lx (1.0 /. box.K.Box.lx);
-  Simd.splat_into s.v_inv_ly (1.0 /. box.K.Box.ly);
-  Simd.splat_into s.v_inv_lz (1.0 /. box.K.Box.lz);
-  Simd.splat_into s.v_one 1.0;
-  Simd.splat_into s.v_twelve 12.0;
-  Simd.splat_into s.v_six 6.0;
-  Simd.splat_into s.v_ke Mdcore.Forcefield.ke;
-  Simd.splat_into s.v_two_krf (2.0 *. sys.K.krf);
-  Simd.splat_into s.v_krf sys.K.krf;
-  Simd.splat_into s.v_crf sys.K.crf;
-  (* in-place minimum image: d <- d - l * round (d * inv_l) *)
-  let mi_v d l inv_l =
-    Simd.mul_into cost s.v_t1 d inv_l;
-    Simd.round_into cost s.v_t1 s.v_t1;
-    Simd.mul_into cost s.v_t1 s.v_t1 l;
-    Simd.sub_into cost d d s.v_t1
-  in
-  (* the block-position state the lane closures read; defining the
-     closures once per cluster pair (not once per block) keeps the
-     block loop closure-free *)
-  let cur_jb = ref 0 in
-  let jm_of l = (!cur_jb * jblk) + (l / Cluster.size) in
-  (* padded j slots exist up to the cluster capacity, so clamped
-     loads of masked lanes stay in bounds *)
-  let jm_load l = min (jm_of l) (Cluster.size - 1) in
-  let lane_valid l =
-    let im = im_of l and jm = jm_of l in
-    if im >= ni || jm >= nj then 0.0
-    else if ci = cj && jm <= im then 0.0
-    else
-      let bit =
-        if ci <= cj then (Cluster.size * im) + jm
-        else (Cluster.size * jm) + im
-      in
-      if mask_bits land (1 lsl bit) <> 0 then 0.0 else 1.0
-  in
-  let xj_lane l = Package.x ~layout:soa jbuf joff (jm_load l) in
-  let yj_lane l = Package.y ~layout:soa jbuf joff (jm_load l) in
-  let zj_lane l = Package.z ~layout:soa jbuf joff (jm_load l) in
-  let qj_lane l = Package.charge ~layout:soa jbuf joff (jm_load l) in
-  let tj l = Package.ptype ~layout:soa jbuf joff (jm_load l) in
-  let ti l = Package.ptype ~layout:soa ibuf 0 (im_of l) in
-  let c6_lane l = Mdcore.Forcefield.c6 sys.K.ff (ti l) (tj l) in
-  let c12_lane l = Mdcore.Forcefield.c12 sys.K.ff (ti l) (tj l) in
-  let f_el_lane l =
-    Mdcore.Coulomb.ewald_real_force_over_r ~beta:sys.K.beta
-      ~qq:(Simd.lane s.v_keqq l /. Mdcore.Forcefield.ke)
-      (Simd.lane s.v_r2_safe l)
-  in
-  let e_el_lane l =
-    Mdcore.Coulomb.ewald_real_energy ~beta:sys.K.beta
-      ~qq:(Simd.lane s.v_keqq l /. Mdcore.Forcefield.ke)
-      (Simd.lane s.v_r2_safe l)
-  in
+  (* the pair's lane mask, staged once: lane [l] of block [jb] pairs
+     i-member [l mod 4] with j-member [jb * jblk + l / 4], which is
+     entry [jb * lanes + l] *)
+  for jm = 0 to Cluster.size - 1 do
+    for im = 0 to Cluster.size - 1 do
+      s.excl.((Cluster.size * jm) + im) <-
+        (if im >= ni || jm >= nj then 0.0
+         else if ci = cj && jm <= im then 0.0
+         else
+           let bit =
+             if ci <= cj then (Cluster.size * im) + jm
+             else (Cluster.size * jm) + im
+           in
+           if mask_bits land (1 lsl bit) <> 0 then 0.0 else 1.0)
+    done
+  done;
+  let ff = sys.K.ff in
+  let n_types = Array.length ff.Mdcore.Forcefield.types in
+  let ti_base = 4 * Cluster.size and tj_base = joff + (4 * Cluster.size) in
   for jb = 0 to ((nj + jblk - 1) / jblk) - 1 do
-    cur_jb := jb;
-    Simd.init_into s.v_mask lane_valid;
-    Cost.int_ops cost (2.0 *. float_of_int jblk);
-    Simd.init_into s.v_xj xj_lane;
-    Simd.init_into s.v_yj yj_lane;
-    Simd.init_into s.v_zj zj_lane;
-    Simd.init_into s.v_qj qj_lane;
+    Simd.gather_into s.v_mask s.excl (jb * lanes) s.lane_id;
+    Cost.int_ops cost s.c_mask;
+    (* padded j slots exist up to the cluster capacity, so clamped
+       loads of masked lanes stay in bounds *)
+    for l = 0 to lanes - 1 do
+      s.j_lane.(l) <- min ((jb * jblk) + (l / Cluster.size)) (Cluster.size - 1)
+    done;
+    Simd.gather_into s.v_xj jbuf joff s.j_lane;
+    Simd.gather_into s.v_yj jbuf (joff + Cluster.size) s.j_lane;
+    Simd.gather_into s.v_zj jbuf (joff + (2 * Cluster.size)) s.j_lane;
+    Simd.gather_into s.v_qj jbuf (joff + (3 * Cluster.size)) s.j_lane;
     Simd.sub_into cost s.v_dx s.v_xi s.v_xj;
-    mi_v s.v_dx s.v_lx s.v_inv_lx;
+    mi_v cost s s.v_dx s.v_lx s.v_inv_lx;
     Simd.sub_into cost s.v_dy s.v_yi s.v_yj;
-    mi_v s.v_dy s.v_ly s.v_inv_ly;
+    mi_v cost s s.v_dy s.v_ly s.v_inv_ly;
     Simd.sub_into cost s.v_dz s.v_zi s.v_zj;
-    mi_v s.v_dz s.v_lz s.v_inv_lz;
+    mi_v cost s s.v_dz s.v_lz s.v_inv_lz;
     Simd.mul_into cost s.v_t1 s.v_dx s.v_dx;
     Simd.fma_into cost s.v_t1 s.v_dy s.v_dy s.v_t1;
     Simd.fma_into cost s.v_r2 s.v_dz s.v_dz s.v_t1;
     Simd.cmp_lt_into cost s.v_in_range s.v_r2 s.v_rcut2;
     Simd.mul_into cost s.v_active s.v_in_range s.v_mask;
-    if Simd.hsum cost s.v_active > 0.0 then begin
+    Simd.hsum_into cost s.v_active 0 lanes s.sums 0;
+    if s.sums.(0) > 0.0 then begin
       (* per-lane LJ parameters: a scalar table gather on real hardware *)
-      Cost.int_ops cost (float_of_int lanes);
-      Simd.init_into s.v_c6 c6_lane;
-      Simd.init_into s.v_c12 c12_lane;
+      Cost.int_ops cost s.c_lanes;
+      for l = 0 to lanes - 1 do
+        s.tp_lane.(l) <-
+          (int_of_float ibuf.(ti_base + s.i_lane.(l)) * n_types)
+          + int_of_float jbuf.(tj_base + s.j_lane.(l))
+      done;
+      Simd.gather_into s.v_c6 ff.Mdcore.Forcefield.c6 0 s.tp_lane;
+      Simd.gather_into s.v_c12 ff.Mdcore.Forcefield.c12 0 s.tp_lane;
       (* guard against r2 = 0 in masked-out lanes (padding at origin) *)
       Simd.select_into cost s.v_r2_safe s.v_active s.v_r2 s.v_one;
       Simd.rsqrt_into cost s.v_inv_r s.v_r2_safe;
@@ -335,23 +372,30 @@ let vector_pairs sys (cpe : Swarch.Cpe.t) (res : K.result) ~ci ~cj ~ibuf ~jbuf
           Simd.fma_into cost s.v_t1 s.v_krf s.v_r2_safe s.v_inv_r;
           Simd.sub_into cost s.v_t1 s.v_t1 s.v_crf;
           Simd.mul_into cost s.v_e_el s.v_keqq s.v_t1
-      | K.Nonbonded.Ewald_real _ ->
+      | K.Nonbonded.Ewald_real beta ->
           (* erfc evaluated per lane: a vectorized polynomial on the
              hardware; charged as a fixed block of vector ops per
              4-lane group *)
-          Cost.simd cost (8.0 *. float_of_int jblk);
-          Simd.init_into s.v_f_el f_el_lane;
-          Simd.init_into s.v_e_el e_el_lane);
+          Cost.simd cost s.c_ewald;
+          Simd.store_into s.a_qq 0 s.v_keqq;
+          for l = 0 to lanes - 1 do
+            s.a_qq.(l) <- s.a_qq.(l) /. Mdcore.Forcefield.ke
+          done;
+          Simd.store_into s.a_r2 0 s.v_r2_safe;
+          Mdcore.Coulomb.ewald_real_into ~beta ~n:lanes ~qq:s.a_qq ~r2:s.a_r2
+            ~f:s.a_f ~e:s.a_e;
+          Simd.gather_into s.v_f_el s.a_f 0 s.lane_id;
+          Simd.gather_into s.v_e_el s.a_e 0 s.lane_id);
       Simd.add_into cost s.v_t1 s.v_f_lj s.v_f_el;
       Simd.mul_into cost s.v_f s.v_t1 s.v_active;
       Simd.mul_into cost s.v_t1 s.v_e_lj s.v_active;
-      res.K.acc.K.e_lj <-
-        res.K.acc.K.e_lj +. (scale *. Simd.hsum cost s.v_t1);
+      Simd.hsum_into cost s.v_t1 0 lanes s.sums 0;
+      res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. s.sums.(0);
       Simd.mul_into cost s.v_t1 s.v_e_el s.v_active;
-      res.K.acc.K.e_coul <-
-        res.K.acc.K.e_coul +. (scale *. Simd.hsum cost s.v_t1);
-      res.K.pairs_in_cutoff <-
-        res.K.pairs_in_cutoff + int_of_float (Simd.hsum cost s.v_active);
+      Simd.hsum_into cost s.v_t1 0 lanes s.sums 0;
+      res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. s.sums.(0);
+      Simd.hsum_into cost s.v_active 0 lanes s.sums 0;
+      res.K.pairs_in_cutoff <- res.K.pairs_in_cutoff + int_of_float s.sums.(0);
       Simd.mul_into cost s.v_fx s.v_f s.v_dx;
       Simd.mul_into cost s.v_fy s.v_f s.v_dy;
       Simd.mul_into cost s.v_fz s.v_f s.v_dz;
@@ -363,11 +407,16 @@ let vector_pairs sys (cpe : Swarch.Cpe.t) (res : K.result) ~ci ~cj ~ibuf ~jbuf
          4 lanes, where the group is the whole vector) *)
       for b = 0 to jblk - 1 do
         let mj = (jb * jblk) + b in
-        if mj < nj then
-          apply_b mj
-            (-.Simd.hsum_part cost s.v_fx (b * Cluster.size) Cluster.size)
-            (-.Simd.hsum_part cost s.v_fy (b * Cluster.size) Cluster.size)
-            (-.Simd.hsum_part cost s.v_fz (b * Cluster.size) Cluster.size)
+        if mj < nj then begin
+          let g = b * Cluster.size in
+          Simd.hsum_into cost s.v_fx g Cluster.size s.sums 0;
+          Simd.hsum_into cost s.v_fy g Cluster.size s.sums 1;
+          Simd.hsum_into cost s.v_fz g Cluster.size s.sums 2;
+          fb.(3 * mj) <- fb.(3 * mj) +. -.s.sums.(0);
+          fb.((3 * mj) + 1) <- fb.((3 * mj) + 1) +. -.s.sums.(1);
+          fb.((3 * mj) + 2) <- fb.((3 * mj) + 2) +. -.s.sums.(2);
+          fb_used := true
+        end
       done
     end
   done
@@ -427,8 +476,10 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
   let buffers =
     match buffers with Some b -> b | None -> Swoffload.Plan.default_slots
   in
-  if spec.write = Owner_only && spec.vector then
-    invalid_arg "Kernel_cpe.run: the RCA baseline is scalar";
+  (match spec.write with
+  | Rmw_direct | Owner_only when spec.vector ->
+      invalid_arg "Kernel_cpe.run: the vector kernels write through the deferred cache"
+  | _ -> ());
   if buffers < 1 then invalid_arg "Kernel_cpe.run: buffers < 1";
   let cfg = sys.K.cfg in
   let lanes = cfg.Swarch.Config.simd_lanes in
@@ -439,7 +490,6 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
          Cluster.size (2 * Cluster.size) lanes);
   let res = K.empty_result sys in
   let n_cpes = Array.length cg.Swarch.Core_group.cpes in
-  let layout = if spec.vector then Package.Soa else Package.Aos in
   let backing = if spec.vector then sys.K.pkg_soa else sys.K.pkg_aos in
   let stats =
     {
@@ -552,13 +602,19 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
                   Dma.put cfg cost ~bytes:2048
                 done)
         | Deferred { marks = true } | Owner_only | Mpe_collect -> ());
+        (* j packages are read at [fetch_j cj]'s offset in [jdata] *)
+        let jdata =
+          match read_cache with
+          | Some rc -> rc.Swcache.Read_cache.data
+          | None -> jbuf
+        in
         let fetch_j cj =
           match read_cache with
-          | Some rc -> (Swcache.Read_cache.touch rc cj, rc.Swcache.Read_cache.data)
+          | Some rc -> Swcache.Read_cache.touch rc cj
           | None ->
               Array.blit backing (cj * Package.floats) jbuf 0 Package.floats;
               Dma.get cfg cost ~bytes:Package.bytes;
-              (0, jbuf)
+              0
         in
         let send_to_mpe block_base fb =
           Dma.put cfg cost ~bytes:K.force_bytes;
@@ -574,13 +630,15 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
           done
         in
         (* per-cj write-back machinery: accumulate member increments in
-           an LDM block, then apply through the variant's write path *)
+           an LDM block, then apply through the variant's write path.
+           The scalar loop stages each pair's j-side increment in [inc]. *)
         let fb = Array.make K.force_floats 0.0 in
         let fb_used = ref false in
-        let accumulate_fb mj fx fy fz =
-          fb.((3 * mj) + 0) <- fb.((3 * mj) + 0) +. fx;
-          fb.((3 * mj) + 1) <- fb.((3 * mj) + 1) +. fy;
-          fb.((3 * mj) + 2) <- fb.((3 * mj) + 2) +. fz;
+        let inc = Array.make 3 0.0 in
+        let accumulate_fb mj =
+          fb.((3 * mj) + 0) <- fb.((3 * mj) + 0) +. inc.(0);
+          fb.((3 * mj) + 1) <- fb.((3 * mj) + 1) +. inc.(1);
+          fb.((3 * mj) + 2) <- fb.((3 * mj) + 2) +. inc.(2);
           fb_used := true
         in
         let clear_fb () =
@@ -590,13 +648,13 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
         (* Pkg has no deferred update: Algorithm 1 line 9 applies every
            pair's FB increment to main memory immediately (12 B RMW),
            which is exactly the traffic the write cache eliminates *)
-        let rmw_pair cj mj fx fy fz =
+        let rmw_pair cj mj =
           let arr = Option.get copy_arr in
           Dma.get cfg cost ~bytes:12;
           let base = ((cj - wlo) * K.force_floats) + (3 * mj) in
-          arr.(base) <- arr.(base) +. fx;
-          arr.(base + 1) <- arr.(base + 1) +. fy;
-          arr.(base + 2) <- arr.(base + 2) +. fz;
+          arr.(base) <- arr.(base) +. inc.(0);
+          arr.(base + 1) <- arr.(base + 1) +. inc.(1);
+          arr.(base + 2) <- arr.(base + 2) +. inc.(2);
           Cost.flops cost 3.0;
           Dma.put cfg cost ~bytes:12
         in
@@ -609,8 +667,7 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
                 for m = 0 to Cluster.size - 1 do
                   let b = 3 * m in
                   if fb.(b) <> 0.0 || fb.(b + 1) <> 0.0 || fb.(b + 2) <> 0.0 then
-                    Swcache.Write_cache.accumulate_at wc (cj - wlo) b fb.(b)
-                      fb.(b + 1) fb.(b + 2)
+                    Swcache.Write_cache.accumulate_at wc (cj - wlo) b fb b
                 done
             | Owner_only -> ()
             | Mpe_collect -> send_to_mpe (cj * K.force_floats) fb);
@@ -623,8 +680,7 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
               let wc = Option.get write_cache in
               for m = 0 to Cluster.size - 1 do
                 let b = 3 * m in
-                Swcache.Write_cache.accumulate_at wc (ci - wlo) b fa.(b)
-                  fa.(b + 1) fa.(b + 2)
+                Swcache.Write_cache.accumulate_at wc (ci - wlo) b fa b
               done
           | Rmw_direct ->
               let arr = Option.get copy_arr in
@@ -653,65 +709,60 @@ let run ?sched ?buffers ?(dead = []) ?(reference = false) sys
           Dma.get cfg cost ~bytes:Package.bytes
         in
         (* per-slice scratch, reused by every i-cluster: the vector
-           register file, the scalar FA block and the pair-interaction
-           out-record live for the whole slice *)
+           register file, the scalar FA block and the pair-physics
+           scratch live for the whole slice *)
         let vs =
-          if spec.vector then Some (make_vscratch cfg.Swarch.Config.simd_lanes)
+          if spec.vector then Some (make_vscratch sys cfg.Swarch.Config.simd_lanes)
           else None
         in
         let fa = Array.make K.force_floats 0.0 in
         let pout = K.fresh_pair_out () in
+        (* where the scalar loop's staged j-side increment goes *)
+        let apply_b ci cj mj =
+          match spec.write with
+          | Owner_only ->
+              (* RCA: the j side is someone else's i side, except
+                 intra-cluster pairs, which land in FA directly *)
+              if cj = ci then begin
+                fa.((3 * mj) + 0) <- fa.((3 * mj) + 0) +. inc.(0);
+                fa.((3 * mj) + 1) <- fa.((3 * mj) + 1) +. inc.(1);
+                fa.((3 * mj) + 2) <- fa.((3 * mj) + 2) +. inc.(2)
+              end
+          | Rmw_direct -> rmw_pair cj mj
+          | Deferred _ | Mpe_collect -> accumulate_fb mj
+        in
         let compute_i k =
           let ci = lo + k in
-          if spec.vector then begin
-            let s = Option.get vs in
-            Simd.splat_into s.v_fa_x 0.0;
-            Simd.splat_into s.v_fa_y 0.0;
-            Simd.splat_into s.v_fa_z 0.0;
-            Pair_list.iter_ci pairs ci (fun cj ->
-                let joff, jdata = fetch_j cj in
-                let apply_b =
-                  match spec.write with
-                  | Rmw_direct -> rmw_pair cj
-                  | _ -> accumulate_fb
-                in
-                vector_pairs sys cpe lres ~ci ~cj ~ibuf ~jbuf:jdata ~joff ~s
-                  ~apply_b ~scale:1.0;
-                flush_fb cj);
-            (* post-treatment: fold wide accumulators down to one
-               4-lane register per axis (free at 4 lanes), then the
-               Figure 7 transpose, then apply FA *)
-            Simd.narrow_into cost s.v_nx s.v_fa_x;
-            Simd.narrow_into cost s.v_ny s.v_fa_y;
-            Simd.narrow_into cost s.v_nz s.v_fa_z;
-            Simd.transpose3x4_into cost s.v_nx s.v_ny s.v_nz s.v_fa12;
-            apply_a ci s.v_fa12
-          end
-          else begin
-            Array.fill fa 0 K.force_floats 0.0;
-            Pair_list.iter_ci pairs ci (fun cj ->
-                let joff, jdata = fetch_j cj in
-                let scale =
-                  if spec.write = Owner_only && ci <> cj then 0.5 else 1.0
-                in
-                let apply_b =
-                  match spec.write with
-                  | Owner_only ->
-                      (* RCA: the j side is someone else's i side, except
-                         intra-cluster pairs, which land in FA directly *)
-                      if cj = ci then fun mj fx fy fz ->
-                        fa.((3 * mj) + 0) <- fa.((3 * mj) + 0) +. fx;
-                        fa.((3 * mj) + 1) <- fa.((3 * mj) + 1) +. fy;
-                        fa.((3 * mj) + 2) <- fa.((3 * mj) + 2) +. fz
-                      else fun _ _ _ _ -> ()
-                  | Rmw_direct -> rmw_pair cj
-                  | Deferred _ | Mpe_collect -> accumulate_fb
-                in
-                scalar_pairs sys cpe lres ~ci ~cj ~ibuf ~jbuf:jdata ~joff
-                  ~layout ~fa ~pout ~apply_b ~scale;
-                flush_fb cj);
-            apply_a ci fa
-          end
+          match vs with
+          | Some s ->
+              load_i s ibuf;
+              Simd.splat_into s.v_fa_x 0.0;
+              Simd.splat_into s.v_fa_y 0.0;
+              Simd.splat_into s.v_fa_z 0.0;
+              Pair_list.iter_ci pairs ci (fun cj ->
+                  let joff = fetch_j cj in
+                  vector_pairs sys cpe lres ~ci ~cj ~ibuf ~jbuf:jdata ~joff ~s
+                    ~fb ~fb_used;
+                  flush_fb cj);
+              (* post-treatment: fold wide accumulators down to one
+                 4-lane register per axis (free at 4 lanes), then the
+                 Figure 7 transpose, then apply FA *)
+              Simd.narrow_into cost s.v_nx s.v_fa_x;
+              Simd.narrow_into cost s.v_ny s.v_fa_y;
+              Simd.narrow_into cost s.v_nz s.v_fa_z;
+              Simd.transpose3x4_into cost s.v_nx s.v_ny s.v_nz s.v_fa12;
+              apply_a ci s.v_fa12
+          | None ->
+              Array.fill fa 0 K.force_floats 0.0;
+              Pair_list.iter_ci pairs ci (fun cj ->
+                  let joff = fetch_j cj in
+                  let scale =
+                    if spec.write = Owner_only && ci <> cj then 0.5 else 1.0
+                  in
+                  scalar_pairs sys cpe lres ~ci ~cj ~ibuf ~jbuf:jdata ~joff ~fa
+                    ~inc ~pout ~apply_b ~scale;
+                  flush_fb cj);
+              apply_a ci fa
         in
         (* wind down: flush caches, park stats in this CPE's slot
            (aggregated at merge time), register the copy *)

@@ -53,10 +53,12 @@ let run sys (pairs : Pair_list.t) (cg : Swarch.Core_group.t) =
               in
               let ti = Package.ptype ~layout buf ioff mi_
               and tj = Package.ptype ~layout buf joff mj in
-              K.pair_interaction_into sys ~r2 ~qq ~ti ~tj pout;
-              let f = pout.K.p_f in
-              res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. pout.K.p_e_lj;
-              res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. pout.K.p_e_coul;
+              pout.K.p_r2.(0) <- r2;
+              pout.K.p_qq.(0) <- qq;
+              K.pair_interaction_into sys ~ti ~tj pout;
+              let f = pout.K.p_f.(0) in
+              res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. pout.K.p_e_lj.(0);
+              res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. pout.K.p_e_coul.(0);
               res.K.pairs_in_cutoff <- res.K.pairs_in_cutoff + 1;
               let add slot d v =
                 res.K.force.((3 * slot) + d) <- res.K.force.((3 * slot) + d) +. v

@@ -67,6 +67,18 @@ let build_address_space sys =
   done;
   (space, nc_pad)
 
+(* Minimum-image fold of one displacement component, as {!Box.mi1}. *)
+let[@inline] mi d l = d -. (l *. Float.round (d /. l))
+
+(* Flops of the member-distance refinement of a cluster pair: 9 per
+   member pair.  Two full clusters are the common case, so that charge
+   is computed once instead of boxed afresh per candidate. *)
+let refine_full = float_of_int (Cluster.size * Cluster.size) *. 9.0
+
+let refine_flops ni nj =
+  if ni = Cluster.size && nj = Cluster.size then refine_full
+  else float_of_int (ni * nj) *. 9.0
+
 (** [run sys cg ~kind ~rlist] rebuilds the cluster pair list on the
     CPEs through a software cache of the given associativity, charging
     all DMA/compute costs, and returns the list (identical to
@@ -140,9 +152,18 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
             out_fill := 0
           end
         in
+        (* The candidate and member loops read centroids, radii and
+           package coordinates straight from their arrays and inline
+           the minimum-image distance (per component, then
+           x^2 + y^2 + z^2, as {!Box.dist2} computes it): a call into
+           another module with float arguments would box them. *)
+        let centroids = cl.Cluster.centroids and radii = cl.Cluster.radii in
+        let fpp = Package.floats_per_particle in
         for ci = lo to hi - 1 do
           touch ci;
-          let pi = Cluster.centroid cl ci and ri = Cluster.radius cl ci in
+          let pi = Cluster.centroid cl ci and ri = radii.(ci) in
+          let ni = Cluster.count cl ci in
+          let ioff = ci * Package.floats in
           let acc = ref [] in
           Cell_grid.iter_neighbourhood grid pi (fun cj ->
               if cj >= ci then begin
@@ -152,29 +173,27 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
                 touch (nc_pad + cj);
                 touch cj;
                 Cost.flops cost 10.0;
-                let reach = rlist +. ri +. Cluster.radius cl cj in
-                if Box.dist2 box pi (Cluster.centroid cl cj) <= reach *. reach
+                let reach = rlist +. ri +. radii.(cj) in
+                let dx = mi (pi.Vec3.x -. centroids.{3 * cj}) box.Box.lx
+                and dy = mi (pi.Vec3.y -. centroids.{(3 * cj) + 1}) box.Box.ly
+                and dz = mi (pi.Vec3.z -. centroids.{(3 * cj) + 2}) box.Box.lz in
+                if (dx *. dx) +. (dy *. dy) +. (dz *. dz) <= reach *. reach
                 then begin
                   (* exact member-distance refinement *)
-                  let ni = Cluster.count cl ci and nj = Cluster.count cl cj in
-                  Cost.flops cost (float_of_int (ni * nj) *. 9.0);
+                  let nj = Cluster.count cl cj in
+                  Cost.flops cost (refine_flops ni nj);
+                  let joff = cj * Package.floats in
                   let close = ref false in
-                  let aos = Package.Aos in
-                  for mi = 0 to ni - 1 do
+                  for mi_ = 0 to ni - 1 do
+                    let a = ioff + (mi_ * fpp) in
                     for mj = 0 to nj - 1 do
                       if not !close then begin
-                        let xa =
-                          Vec3.make
-                            (Package.x ~layout:aos space (ci * Package.floats) mi)
-                            (Package.y ~layout:aos space (ci * Package.floats) mi)
-                            (Package.z ~layout:aos space (ci * Package.floats) mi)
-                        and xb =
-                          Vec3.make
-                            (Package.x ~layout:aos space (cj * Package.floats) mj)
-                            (Package.y ~layout:aos space (cj * Package.floats) mj)
-                            (Package.z ~layout:aos space (cj * Package.floats) mj)
-                        in
-                        if Box.dist2 box xa xb <= rl2 then close := true
+                        let b = joff + (mj * fpp) in
+                        let dx = mi (space.(a) -. space.(b)) box.Box.lx
+                        and dy = mi (space.(a + 1) -. space.(b + 1)) box.Box.ly
+                        and dz = mi (space.(a + 2) -. space.(b + 2)) box.Box.lz in
+                        if (dx *. dx) +. (dy *. dy) +. (dz *. dz) <= rl2 then
+                          close := true
                       end
                     done
                   done;

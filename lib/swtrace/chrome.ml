@@ -81,22 +81,41 @@ let metadata events =
   done;
   process :: !tracks
 
-(** [json_of_events events] is the full trace document. *)
-let json_of_events events =
-  Json.Obj
-    [
-      ( "traceEvents",
-        Json.Arr (metadata events @ List.map json_of_event events) );
-      ("displayTimeUnit", Json.Str "ms");
-      ("otherData", Json.Obj [ ("clock", Json.Str "simulated") ]);
-    ]
+(* [emit out events] serializes the trace document
+   [{"traceEvents":[metadata..., events...],"displayTimeUnit":"ms",
+   "otherData":{"clock":"simulated"}}] one trace event at a time: each
+   event is printed into one reused buffer, which [out] consumes before
+   the next event is printed.  No tree or string of the whole document
+   is built, so exporting a large trace holds one event at a time. *)
+let emit (out : Buffer.t -> unit) events =
+  let buf = Buffer.create 256 in
+  let first = ref true in
+  let item v =
+    Buffer.clear buf;
+    if not !first then Buffer.add_char buf ',';
+    first := false;
+    Json.to_buffer buf v;
+    out buf
+  in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  out buf;
+  List.iter item (metadata events);
+  List.iter (fun e -> item (json_of_event e)) events;
+  Buffer.clear buf;
+  Buffer.add_string buf
+    "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"simulated\"}}";
+  out buf
 
 (** [to_string events] serializes a trace document. *)
-let to_string events = Json.to_string (json_of_events events)
+let to_string events =
+  let doc = Buffer.create 4096 in
+  emit (Buffer.add_buffer doc) events;
+  Buffer.contents doc
 
-(** [write_file path events] writes the trace to [path]. *)
+(** [write_file path events] writes the trace to [path], streaming it
+    event by event. *)
 let write_file path events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string events))
+    (fun () -> emit (Buffer.output_buffer oc) events)

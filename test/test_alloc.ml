@@ -172,6 +172,65 @@ let qalloc_per_interaction_zero =
       let per_pair = s.Swbench.Alloc.minor_words /. 68329.0 in
       s.Swbench.Alloc.minor_words <= step_budget_words && per_pair < 0.01)
 
+(* The force path on the 3k-atom system of [Swbench.Common.prepare]:
+   one Kernel_cpe call, or one CPE pair search, must stay within a
+   pinned number of heap words, about 25% above what it measures.
+   What remains is per-call state — the per-CPE caches, force copies
+   and scratch registers — and the pair list the search returns.  The
+   3k system has ~320k vector blocks per call at 4 lanes, so one boxed
+   float per block adds over half a megaword and trips the gate. *)
+let prepared_on platform =
+  lazy
+    (let saved = Swbench.Common.cfg () in
+     Swbench.Common.set_platform platform;
+     Fun.protect
+       ~finally:(fun () -> Swbench.Common.set_platform saved)
+       (fun () -> (platform, Swbench.Common.prepare ~particles:3000 ())))
+
+let base = prepared_on Swarch.Platform.sw26010
+let pro = prepared_on Swarch.Platform.sw26010_pro
+
+let force_path_words system f =
+  let platform, p = Lazy.force system in
+  let cg = Swarch.Core_group.create platform in
+  Swbench.Alloc.words (Swbench.Alloc.measure ~warmup:1 ~steps:2 (fun () -> f p cg))
+
+let kernel_words system variant =
+  force_path_words system (fun p cg ->
+      ignore
+        (Swgmx.Kernel_cpe.run p.Swbench.Common.sys p.Swbench.Common.pairs cg
+           (Swgmx.Kernel_cpe.spec_of_variant variant)))
+
+let nsearch_words system =
+  force_path_words system (fun p cg ->
+      ignore
+        (Swgmx.Nsearch_cpe.run p.Swbench.Common.sys cg ~kind:Swgmx.Nsearch_cpe.Two_way
+           ~rlist:p.Swbench.Common.rcut))
+
+let gate_case name ~budget_mwords words =
+  Alcotest.test_case name `Quick (fun () ->
+      let w = words () in
+      Printf.printf "%s: %.3f Mwords (budget %.2f)\n" name (w /. 1e6) budget_mwords;
+      if w > budget_mwords *. 1e6 then
+        Alcotest.failf "%s allocates %.2f Mwords (budget %.2f)" name (w /. 1e6)
+          budget_mwords)
+
+let force_path_gates =
+  [
+    gate_case "Mark kernel, 3k atoms, 4 lanes" ~budget_mwords:2.25 (fun () ->
+        kernel_words base V.Mark);
+    gate_case "Mark kernel, 3k atoms, 8 lanes" ~budget_mwords:5.75 (fun () ->
+        kernel_words pro V.Mark);
+    gate_case "Vec kernel, 3k atoms, 4 lanes" ~budget_mwords:2.35 (fun () ->
+        kernel_words base V.Vec);
+    gate_case "Vec kernel, 3k atoms, 8 lanes" ~budget_mwords:5.8 (fun () ->
+        kernel_words pro V.Vec);
+    gate_case "Cache kernel, 3k atoms, 4 lanes" ~budget_mwords:2.25 (fun () ->
+        kernel_words base V.Cache);
+    gate_case "CPE pair search, 3k atoms, 4 lanes" ~budget_mwords:5.9 (fun () ->
+        nsearch_words base);
+  ]
+
 let suites =
   [
     ( "alloc.goldens",
@@ -188,5 +247,6 @@ let suites =
     ( "alloc.gate",
       Alcotest.test_case "nonbonded step under pinned budget" `Quick
         test_step_alloc_budget
-      :: List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ] );
+      :: List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ]
+      @ force_path_gates );
   ]

@@ -175,17 +175,23 @@ let test_cost_reset () =
 
 let r32 = Simd.round32
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-let lanes v = Array.init (Simd.width v) (Simd.lane v)
+
+(* the lanes of [v], read back through a store *)
+let lanes v =
+  let a = Array.make (Simd.width v) nan in
+  Simd.store_into a 0 v;
+  a
 
 let check_invalid what f =
   match f () with
   | _ -> Alcotest.failf "%s accepted" what
   | exception Invalid_argument _ -> ()
 
-(* vectors are built the way the kernels load them *)
+(* vectors are built the way the kernels load them: a gather through
+   an index table *)
 let vec w f =
   let v = Simd.zero w in
-  Simd.init_into v f;
+  Simd.gather_into v (Array.init w f) 0 (Array.init w Fun.id);
   v
 
 (* A lane-wise op: how many operands it reads, the op itself
@@ -247,9 +253,10 @@ let prop_lanewise w op =
       let args = operands w op raw in
       let c = Cost.create () and dst = Simd.zero w in
       op.run c dst args;
-      let want i = op.scalar (Array.map (fun a -> Simd.lane a i) args) in
+      let l = Array.map lanes args in
+      let want i = op.scalar (Array.map (fun a -> a.(i)) l) in
       Array.for_all Fun.id
-        (Array.init w (fun i -> same_bits (Simd.lane dst i) (want i)))
+        (Array.mapi (fun i x -> same_bits x (want i)) (lanes dst))
       && c.Cost.simd_ops = 1.0)
 
 (* the kernel writes [round_into c t1 t1] and [sub_into c d d t1] *)
@@ -276,22 +283,58 @@ let test_vec_basics w () =
   Alcotest.(check (array (float 0.0))) "zero" (Array.make w 0.0) (lanes v);
   (* 0.1 is not representable in binary32: lanes hold the rounded value *)
   Simd.splat_into v 0.1;
-  Alcotest.(check bool) "splat rounds" true (Simd.lane v (w - 1) <> 0.1);
+  Alcotest.(check bool) "splat rounds" true ((lanes v).(w - 1) <> 0.1);
   Alcotest.(check (array (float 0.0)))
     "splat" (Array.make w (r32 0.1)) (lanes v);
-  let order = ref [] in
-  Simd.init_into v (fun i ->
-      order := i :: !order;
-      float_of_int i +. 0.1);
-  Alcotest.(check (list int))
-    "init in lane order" (List.init w Fun.id) (List.rev !order);
+  (* a gather reads src.(off + idx.(i)) into lane i: reversed, offset *)
+  let src = Array.init (w + 3) (fun i -> float_of_int i +. 0.1) in
+  Simd.gather_into v src 3 (Array.init w (fun i -> w - 1 - i));
   Alcotest.(check (array (float 0.0)))
-    "init rounds"
-    (Array.init w (fun i -> r32 (float_of_int i +. 0.1)))
+    "gather through the index table"
+    (Array.init w (fun i -> r32 src.(3 + w - 1 - i)))
     (lanes v);
+  (* a store writes lane i to dst.(off + i) and nothing else *)
+  let dst = Array.make (w + 2) (-1.0) in
+  Simd.store_into dst 1 v;
+  Alcotest.(check (array (float 0.0)))
+    "store at an offset"
+    (Array.concat [ [| -1.0 |]; lanes v; [| -1.0 |] ])
+    dst;
   check_invalid "zero 0" (fun () -> Simd.zero 0);
-  check_invalid "lane -1" (fun () -> Simd.lane v (-1));
-  check_invalid "lane w" (fun () -> Simd.lane v w)
+  check_invalid "gather past src" (fun () ->
+      Simd.gather_into v src 4 (Array.init w (fun i -> w - 1 - i)));
+  check_invalid "gather with a short index table" (fun () ->
+      Simd.gather_into v src 0 (Array.make (w - 1) 0));
+  check_invalid "store past dst" (fun () -> Simd.store_into dst 3 v);
+  check_invalid "store at -1" (fun () -> Simd.store_into dst (-1) v)
+
+(* a gather rounds each double to the nearest float32, ties to even,
+   exactly as [round32] does; doubles already in float32 pass through *)
+let test_gather_rounds w () =
+  let exact = 1.5 and tie_down = 1.0 +. ldexp 1.0 (-24)
+  and tie_up = 1.0 +. (3.0 *. ldexp 1.0 (-24)) and fine = 1.0 +. ldexp 1.0 (-30) in
+  let src =
+    Array.init w (fun i ->
+        match i mod 4 with
+        | 0 -> 0.1
+        | 1 -> tie_down
+        | 2 -> tie_up
+        | _ -> if i < 4 then exact else fine)
+  in
+  let lanes_ = lanes (vec w (fun i -> src.(i))) in
+  Array.iteri
+    (fun i x ->
+      if not (same_bits x (r32 src.(i))) then
+        Alcotest.failf "lane %d: %h is not round32 %h" i x src.(i))
+    lanes_;
+  Alcotest.(check (float 0.0)) "0.1 moves" (r32 0.1) lanes_.(0);
+  Alcotest.(check bool) "0.1 is not a float32" true (lanes_.(0) <> 0.1);
+  Alcotest.(check (float 0.0)) "tie rounds down to even" 1.0 lanes_.(1);
+  Alcotest.(check (float 0.0))
+    "tie rounds up to even" (1.0 +. ldexp 1.0 (-22)) lanes_.(2);
+  Alcotest.(check (float 0.0)) "a float32 passes" exact lanes_.(3);
+  if w = 8 then
+    Alcotest.(check (float 0.0)) "2^-30 past 1 vanishes" 1.0 lanes_.(7)
 
 (* the horizontal sum as the hardware does it: halving rounds that add
    adjacent lane pairs; returns the sum and the number of rounds *)
@@ -305,16 +348,24 @@ let rec pairwise_tree l =
     in
     (s, rounds + 1)
 
+(* [hsum_into] writes only its slot: the rest of [out] keeps its NaNs *)
+let hsum_slot c v off len =
+  let out = Array.make 3 nan in
+  Simd.hsum_into c v off len out 1;
+  if not (Float.is_nan out.(0) && Float.is_nan out.(2)) then
+    Alcotest.fail "hsum_into wrote outside its slot";
+  out.(1)
+
 let prop_hsum w =
   let rounds = if w = 4 then 2 else 3 in
   QCheck.Test.make ~count:300
     ~name:
-      (Printf.sprintf "%d lanes: hsum is the %d-round pairwise tree" w
+      (Printf.sprintf "%d lanes: hsum_into is the %d-round pairwise tree" w
          rounds)
     (random_lanes w)
     (fun raw ->
       let v = vec w (fun i -> raw.(i)) and c = Cost.create () in
-      let s = Simd.hsum c v in
+      let s = hsum_slot c v 0 w in
       let want, tree_rounds = pairwise_tree (lanes v) in
       same_bits s want && tree_rounds = rounds
       && c.Cost.simd_ops = float_of_int rounds)
@@ -322,7 +373,7 @@ let prop_hsum w =
 let prop_hsum_part w =
   QCheck.Test.make ~count:100
     ~name:
-      (Printf.sprintf "%d lanes: hsum_part is the tree over its lanes" w)
+      (Printf.sprintf "%d lanes: hsum_into over a sub-range is its tree" w)
     (random_lanes w)
     (fun raw ->
       let v = vec w (fun i -> raw.(i)) in
@@ -331,7 +382,7 @@ let prop_hsum_part w =
           List.for_all
             (fun off ->
               let c = Cost.create () in
-              let s = Simd.hsum_part c v off len in
+              let s = hsum_slot c v off len in
               let want, rounds = pairwise_tree (Array.sub (lanes v) off len) in
               same_bits s want && c.Cost.simd_ops = float_of_int rounds)
             (List.init (w - len + 1) Fun.id))
@@ -356,7 +407,7 @@ let prop_narrow w =
       copied && free
       && Array.for_all Fun.id
            (Array.init w (fun i ->
-                same_bits (Simd.lane dst i) (r32 (l.(i) +. l.(i + w)))))
+                same_bits (lanes dst).(i) (r32 (l.(i) +. l.(i + w)))))
       && c.Cost.simd_ops = 1.0)
 
 (* Figure 7 of the paper on plain arrays: simd_vshuff picks lanes i, j
@@ -425,12 +476,15 @@ let test_width_mismatch w () =
       Simd.narrow_into c (Simd.zero w) (Simd.zero (3 * w)));
   check_invalid "narrow_into widening" (fun () ->
       Simd.narrow_into c (Simd.zero (2 * w)) (Simd.zero w));
-  check_invalid "hsum of a non-power-of-two width" (fun () ->
-      Simd.hsum c (Simd.zero (3 * w / 2)));
-  check_invalid "hsum_part of 3 lanes" (fun () ->
-      Simd.hsum_part c (Simd.zero w) 0 3);
-  check_invalid "hsum_part past the last lane" (fun () ->
-      Simd.hsum_part c (Simd.zero w) (w / 2) w);
+  let out = Array.make 2 0.0 in
+  check_invalid "hsum_into of a non-power-of-two width" (fun () ->
+      Simd.hsum_into c (Simd.zero (3 * w / 2)) 0 (3 * w / 2) out 0);
+  check_invalid "hsum_into of 3 lanes" (fun () ->
+      Simd.hsum_into c (Simd.zero w) 0 3 out 0);
+  check_invalid "hsum_into past the last lane" (fun () ->
+      Simd.hsum_into c (Simd.zero w) (w / 2) w out 0);
+  check_invalid "hsum_into past the last slot" (fun () ->
+      Simd.hsum_into c (Simd.zero w) 0 w out 2);
   (* 4-lane registers into 11 floats, or 8-lane registers *)
   check_invalid "transpose3x4_into" (fun () ->
       let v = Simd.zero w in
@@ -443,7 +497,10 @@ let simd_cases =
       let case name f =
         Alcotest.test_case (Printf.sprintf "%d lanes: %s" w name) `Quick (f w)
       in
-      [ case "zero/lane/splat_into/init_into" test_vec_basics ]
+      [
+        case "zero/splat_into/gather_into/store_into" test_vec_basics;
+        case "gather_into rounds a double to float32" test_gather_rounds;
+      ]
       @ List.map
           (fun p -> QCheck_alcotest.to_alcotest (p w))
           ([ prop_hsum; prop_hsum_part; prop_narrow; prop_transpose;
