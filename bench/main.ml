@@ -93,14 +93,6 @@ let tests =
            ignore
              (E.simulate ~cfg:(Swbench.Common.cfg ()) ~molecules:16 ~seed:5
                 ~steps:5 ~sample_every:5 ())));
-    (* swstore: the chunk codec on a checkpoint-sized payload *)
-    Test.make ~name:"store: chunk encode+decode (64 KiB)"
-      (Staged.stage (fun () ->
-           let payload = String.make (1 lsl 16) 'x' in
-           let c = Swstore.Chunk.make payload in
-           match Swstore.Chunk.decode (Swstore.Chunk.encode c) with
-           | Ok _ -> ()
-           | Error _ -> assert false));
     (* Section 3.7: the two I/O paths *)
     Test.make ~name:"io: fast formatter (1k floats)"
       (Staged.stage (fun () ->
@@ -163,64 +155,10 @@ let print_benchmarks rows =
       Fmt.pr "%-45s %15s %10.3f@." name (pretty time) r2)
     rows
 
-(* deterministic swstore cache exercise: 8 distinct 8 KiB chunks pushed
-   through a 32 KiB cache (4 resident), then every chunk re-read — the
-   LRU half hits, the evicted half refills from the backing store *)
-let store_figures () =
-  let cache =
-    Swstore.Cache.create ~capacity:(1 lsl 15) (Swstore.Store.open_memory ())
-  in
-  let keys =
-    List.init 8 (fun i ->
-        Swstore.Cache.put cache (String.make (1 lsl 13) (Char.chr (65 + i))))
-  in
-  List.iter (fun k -> ignore (Swstore.Cache.get_exn cache k)) keys;
-  let s = Swstore.Cache.stats cache in
-  [
-    ("store_hits", float_of_int s.Swcache.Stats.hits);
-    ("store_misses", float_of_int s.Swcache.Stats.misses);
-    ("store_evictions", float_of_int s.Swcache.Stats.evictions);
-    ("store_writebacks", float_of_int s.Swcache.Stats.writebacks);
-    ("store_hit_ratio", Swcache.Stats.hit_ratio s);
-    ("store_cached_bytes", float_of_int (Swstore.Cache.used_bytes cache));
-    ( "store_chunks",
-      float_of_int (Swstore.Store.chunk_count (Swstore.Cache.store cache)) );
-  ]
-
-(* The offload layer proven on an irregular workload: one short
-   Barnes-Hut run on the active platform, plus the LDM tiling plans
-   the layer derives for the tree traversal and for the MD i-package
-   walk.  All simulated figures — bit-identical across domain counts,
-   so CI's cross-domain equality check covers them. *)
-let nbody_figures () =
-  let cfg = Swbench.Common.cfg () in
-  let r = Swnbody.Sim.simulate ~cfg ~n:512 ~steps:8 () in
-  let md_plan =
-    Swgmx.Kernel_cpe.offload_plan cfg ~slots:Swoffload.Plan.default_slots
-      ~n_clusters:1024
-  in
-  [
-    ("nbody_bodies", float_of_int r.Swnbody.Sim.n);
-    ("nbody_steps", float_of_int r.Swnbody.Sim.steps);
-    ("nbody_energy_drift", r.Swnbody.Sim.max_drift);
-    ("nbody_elapsed_s", r.Swnbody.Sim.elapsed_s);
-    ("nbody_dma_bytes", r.Swnbody.Sim.dma_bytes);
-    ("nbody_tree_nodes", float_of_int r.Swnbody.Sim.tree_nodes);
-    ("nbody_node_visits", float_of_int r.Swnbody.Sim.node_visits);
-    ("nbody_leaf_interactions", float_of_int r.Swnbody.Sim.leaf_interactions);
-    ("offload_nbody_tile_items", float_of_int r.Swnbody.Sim.tile_items);
-    ("offload_nbody_tiles", float_of_int r.Swnbody.Sim.n_tiles);
-    ("offload_nbody_remainder", float_of_int r.Swnbody.Sim.remainder);
-    ("offload_nbody_reserve_bytes", float_of_int r.Swnbody.Sim.ldm_reserve);
-    ( "offload_md_tile_bytes",
-      float_of_int md_plan.Swoffload.Plan.tile_bytes );
-    ( "offload_md_reserve_bytes",
-      float_of_int (Swoffload.Plan.reserve md_plan ~recorded:true) );
-  ]
-
 (* the key simulated-time figures: the Table-1 Mark workload priced
    serially, through the swsched replay, and at the ideal-overlap
-   bound (all from one recorded run) *)
+   bound (all from one recorded run), plus the LDM tiling plan the
+   offload layer derives for the MD i-package walk *)
 let simulated_figures () =
   let p = Lazy.force prep3k in
   let cfg = (Swbench.Common.cfg ()) in
@@ -258,6 +196,10 @@ let simulated_figures () =
     Swfault.Recovery.optimal_interval ~fault_rate:1e-3
       ~step_s:step_serial.E.step_time ~ckpt_s
   in
+  let md_plan =
+    Swgmx.Kernel_cpe.offload_plan cfg ~slots:Swoffload.Plan.default_slots
+      ~n_clusters:1024
+  in
   [
     ("mark3k_serial_s", Swarch.Core_group.elapsed cg);
     ("mark3k_scheduled_s", s.Swsched.Schedule.elapsed +. mpe);
@@ -277,9 +219,11 @@ let simulated_figures () =
     ("fault_dma10pct_retries", float_of_int f10.Swsched.Schedule.dma_retries);
     ("fault_ckpt_cost_s", ckpt_s);
     ("fault_ckpt_opt_interval_steps", float_of_int opt_interval);
+    ( "offload_md_tile_bytes",
+      float_of_int md_plan.Swoffload.Plan.tile_bytes );
+    ( "offload_md_reserve_bytes",
+      float_of_int (Swoffload.Plan.reserve md_plan ~recorded:true) );
   ]
-  @ store_figures ()
-  @ nbody_figures ()
 
 (* Real wall-clock alongside the simulated figures: best-of-three fresh
    runs of the Table-1 24k decomposed step and the 3k Mark kernel.  The

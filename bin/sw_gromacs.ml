@@ -15,13 +15,6 @@ let peak_flops (cfg : Swarch.Config.t) =
   *. float_of_int cfg.Swarch.Config.simd_lanes
   *. cfg.Swarch.Config.cpe_freq_hz
 
-(* the object store selected by --store: a persistent directory, or an
-   in-memory store for single-process batch runs *)
-let open_store store_dir =
-  match store_dir with
-  | Some dir -> Swstore.Store.open_dir dir
-  | None -> Swstore.Store.open_memory ()
-
 let export_trace ~cfg ~trace_file ~trace_summary =
   let events = Swtrace.Trace.events () in
   (match trace_file with
@@ -47,71 +40,9 @@ let export_trace ~cfg ~trace_file ~trace_summary =
       Fmt.stdout events;
   Swtrace.Trace.disable ()
 
-(* batch mode: schedule a manifest of jobs over one store, repeats
-   served from it, and emit the combined report *)
-let run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
-    ~trace_summary =
-  let text =
-    try In_channel.with_open_text manifest_path In_channel.input_all
-    with Sys_error msg ->
-      Fmt.epr "sw_gromacs: cannot read batch manifest: %s@." msg;
-      exit 2
-  in
-  let jobs =
-    try Swbench.Batch.parse_manifest text
-    with Invalid_argument msg ->
-      Fmt.epr "sw_gromacs: %s@." msg;
-      exit 2
-  in
-  if jobs = [] then begin
-    Fmt.epr "sw_gromacs: batch manifest %s has no jobs@." manifest_path;
-    exit 2
-  end;
-  let tracing = trace_file <> None || trace_summary in
-  if tracing then Swtrace.Trace.enable ();
-  let cache = Swstore.Cache.create (open_store store_dir) in
-  let kv = Swstore.Kv.create ~ns:"batch" cache in
-  Swbench.Common.set_platform cfg;
-  Swbench.Common.set_measure_store (Some kv);
-  Fmt.pr "sw_gromacs batch: %d job(s) from %s (%s store, %d domain(s))@."
-    (List.length jobs) manifest_path
-    (match store_dir with Some d -> d | None -> "in-memory")
-    (Swpar.Domains.get ());
-  let outcomes, wall_s =
-    Fun.protect
-      ~finally:(fun () -> Swbench.Common.set_measure_store None)
-      (fun () ->
-        try Swbench.Batch.run ~kv jobs with
-        | Swstore.Error.Corrupt e ->
-            Fmt.epr "sw_gromacs: store corruption: %s@." (Swstore.Error.to_string e);
-            exit 1
-        | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: %s@." msg;
-            exit 2)
-  in
-  Fmt.pr "@.";
-  Swbench.Batch.report Fmt.stdout ~kv ~cache ~wall_s outcomes;
-  (match report_file with
-  | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc
-          (Swtrace.Json.to_string
-             (Swbench.Batch.json_report ~kv ~cache ~wall_s outcomes));
-        output_char oc '\n';
-        close_out oc;
-        Fmt.pr "report: %s@." path
-      with Sys_error msg ->
-        Fmt.epr "sw_gromacs: cannot write report: %s@." msg;
-        exit 1)
-  | None -> ());
-  if tracing then export_trace ~cfg ~trace_file ~trace_summary;
-  0
-
 let main particles steps variant_name platform_name dt temp seed domains
     pipelined overlap write_traj trace_file trace_summary checkpoint_every
-    checkpoint_file restart_file faults_spec fault_seed store_dir store_name
-    restart_store batch_file report_file =
+    checkpoint_file restart_file faults_spec fault_seed =
   (try Swpar.Domains.set domains
    with Invalid_argument msg ->
      Fmt.epr "sw_gromacs: %s@." msg;
@@ -134,11 +65,6 @@ let main particles steps variant_name platform_name dt temp seed domains
       Fmt.epr "sw_gromacs: %s@." msg;
       exit 2
   in
-  match batch_file with
-  | Some manifest_path ->
-      run_batch cfg ~manifest_path ~store_dir ~report_file ~trace_file
-        ~trace_summary
-  | None ->
   let fault_plan =
     try Swfault.Plan.of_string faults_spec
     with Invalid_argument msg ->
@@ -149,50 +75,19 @@ let main particles steps variant_name platform_name dt temp seed domains
     if Swfault.Plan.is_zero fault_plan then None
     else Some (Swfault.Injector.create ~seed:fault_seed fault_plan)
   in
-  (* the store cache is opened lazily: only runs that checkpoint into
-     or restart from the object store pay for it *)
-  let store_cache =
-    lazy
-      (try Swstore.Cache.create (open_store store_dir)
-       with Swstore.Error.Corrupt e ->
-         Fmt.epr "sw_gromacs: cannot open store: %s@." (Swstore.Error.to_string e);
-         exit 2)
-  in
-  if restart_store <> None && store_dir = None then begin
-    Fmt.epr "sw_gromacs: --restart-store needs --store DIR@.";
-    exit 2
-  end;
   let restart =
-    match (restart_store, restart_file) with
-    | Some _, Some _ ->
-        Fmt.epr "sw_gromacs: --restart and --restart-store are exclusive@.";
-        exit 2
-    | Some name, None -> (
-        (* restart from the store-held checkpoint: chunks are hash-
-           verified on the way out, so a damaged store fails here *)
-        try Some (Swgmx.Engine.restart_of_store (Lazy.force store_cache) ~name)
-        with
-        | Swstore.Error.Corrupt e ->
-            Fmt.epr "sw_gromacs: cannot restart from store: %s@."
-              (Swstore.Error.to_string e);
-            exit 2
-        | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: cannot restart from store: %s@." msg;
-            exit 2)
-    | None, Some path -> (
+    Option.map
+      (fun path ->
         try
-          Some
-            (Swio.Checkpoint.of_string
-               (In_channel.with_open_text path In_channel.input_all))
-        with
-        | Sys_error msg | Invalid_argument msg ->
-            Fmt.epr "sw_gromacs: cannot restart: %s@." msg;
-            exit 2)
-    | None, None -> None
+          Swio.Checkpoint.of_string
+            (In_channel.with_open_text path In_channel.input_all)
+        with Sys_error msg | Invalid_argument msg ->
+          Fmt.epr "sw_gromacs: cannot restart: %s@." msg;
+          exit 2)
+      restart_file
   in
   let protected =
     faults <> None || checkpoint_every <> None || restart_file <> None
-    || restart_store <> None
   in
   let tracing = trace_file <> None || trace_summary in
   if tracing then Swtrace.Trace.enable ();
@@ -213,17 +108,9 @@ let main particles steps variant_name platform_name dt temp seed domains
      back on unrecoverable faults; each capture overwrites the
      checkpoint file so a crash restarts from the latest one *)
   let write_ck ck =
-    match store_dir with
-    | Some _ ->
-        (* checkpoint through the store: the capture is chunked,
-           content-addressed (identical captures cost nothing) and
-           filed under the mutable head --store-name *)
-        Swgmx.Engine.checkpoint_sink (Lazy.force store_cache) ~name:store_name
-          ck
-    | None ->
-        let oc = open_out checkpoint_file in
-        output_string oc (Swio.Checkpoint.to_string ck);
-        close_out oc
+    let oc = open_out checkpoint_file in
+    output_string oc (Swio.Checkpoint.to_string ck);
+    close_out oc
   in
   let on_checkpoint = if checkpoint_every <> None then Some write_ck else None in
   let samples, st, rstats =
@@ -320,10 +207,10 @@ let domains =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Execute the CPE mesh walks and batch jobs over $(docv) OCaml \
-           domains (see docs/PARALLEL.md).  Sharding is static and the \
-           merge order fixed, so physics, cost charges and traces are \
-           bit-identical for every $(docv); 1 reproduces the serial path.")
+          "Execute the CPE mesh walks over $(docv) OCaml domains (see \
+           docs/PARALLEL.md).  Sharding is static and the merge order \
+           fixed, so physics, cost charges and traces are bit-identical \
+           for every $(docv); 1 reproduces the serial path.")
 
 let pipelined =
   Arg.(
@@ -406,56 +293,6 @@ let fault_seed =
     & info [ "fault-seed" ] ~docv:"SEED"
         ~doc:"Seed for the fault injector's deterministic RNG.")
 
-let store_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:
-          "Chunked content-addressed object store directory (created if \
-           absent).  Checkpoints taken by $(b,--checkpoint-every) are \
-           filed into it (chunked, deduplicated, hash-verified on read) \
-           and batch runs persist their results there across invocations. \
-           Without it, batch mode uses an in-memory store.")
-
-let store_name =
-  Arg.(
-    value
-    & opt string "checkpoint"
-    & info [ "store-name" ] ~docv:"NAME"
-        ~doc:
-          "Object name for checkpoints written through $(b,--store) (the \
-           mutable head of the protected run).")
-
-let restart_store =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "restart-store" ] ~docv:"NAME"
-        ~doc:
-          "Resume from the store-held checkpoint $(docv) (needs \
-           $(b,--store)); the reassembled checkpoint is integrity-checked \
-           chunk by chunk and the run reproduces the uninterrupted \
-           trajectory bit for bit.")
-
-let batch_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "batch" ] ~docv:"MANIFEST"
-        ~doc:
-          "Batch mode: run the jobs listed in $(docv) (one per line, \
-           $(i,key=value) tokens, see docs/STORE.md) sequentially over \
-           the object store, serving repeated (platform, plan, workload, \
-           fault plan) keys from the store, and print a combined report.")
-
-let report_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "report" ] ~docv:"FILE"
-        ~doc:"Write the combined batch report as JSON to $(docv).")
-
 let cmd =
   let doc = "molecular dynamics on the simulated Sunway SW26010" in
   Cmd.v
@@ -463,7 +300,6 @@ let cmd =
     Term.(
       const main $ particles $ steps $ variant $ platform $ dt $ temp $ seed
       $ domains $ pipelined $ overlap $ traj $ trace_file $ trace_summary
-      $ checkpoint_every $ checkpoint_file $ restart $ faults $ fault_seed
-      $ store_dir $ store_name $ restart_store $ batch_file $ report_file)
+      $ checkpoint_every $ checkpoint_file $ restart $ faults $ fault_seed)
 
 let () = exit (Cmd.eval' cmd)

@@ -228,39 +228,6 @@ let () =
           | Some _ -> ())
       | _ -> fail "%s: fault event %S lacks a numeric id or ts" path name)
     injects;
-  (* store-track pairing: every object-store lookup ("get", category
-     "store") carries a numeric "id" and must be resolved by a "hit" or
-     "miss" event with the same id at a timestamp no earlier than the
-     lookup — an unresolved get means a store read path skipped its
-     accounting *)
-  let store_events =
-    List.filter (fun ev -> str_field ev "cat" = Some "store") events
-  in
-  let store_named n =
-    List.filter (fun ev -> str_field ev "name" = Some n) store_events
-  in
-  let store_gets = store_named "get" in
-  let resolutions = Hashtbl.create 64 in
-  List.iter
-    (fun ev ->
-      match (args_id ev, num_field ev "ts") with
-      | Some id, Some ts -> Hashtbl.replace resolutions id ts
-      | _ -> fail "%s: store hit/miss event lacks a numeric id or ts" path)
-    (store_named "hit" @ store_named "miss");
-  List.iter
-    (fun ev ->
-      match (args_id ev, num_field ev "ts") with
-      | Some id, Some ts -> (
-          match Hashtbl.find_opt resolutions id with
-          | None ->
-              fail "%s: store get (id %g) has no hit or miss event" path id
-          | Some rts when rts < ts -. eps ->
-              fail
-                "%s: store get (id %g) at %g us resolved earlier, at %g us"
-                path id ts rts
-          | Some _ -> ())
-      | _ -> fail "%s: store get event lacks a numeric id or ts" path)
-    store_gets;
   (* offload-span nesting: every tile span (cat "offload-tile") must
      sit inside a kernel span (cat "offload") on the same tid — a tile
      outside its kernel means the driver's clock reconstruction broke *)
@@ -335,8 +302,8 @@ let () =
     issues;
   Fmt.pr
     "swtrace_lint: %s OK (%d events, %d tracks, %d step spans, %d phase \
-     spans, %d sched spans, %d/%d faults recovered, %d store gets resolved, \
-     %d offload tiles nested, %d offload DMA pairs)@."
+     spans, %d sched spans, %d/%d faults recovered, %d offload tiles \
+     nested, %d offload DMA pairs)@."
     path (List.length events) (List.length thread_names) steps phases
     (List.length sched_spans) (List.length recovers) (List.length injects)
-    (List.length store_gets) (List.length offload_tiles) (List.length issues)
+    (List.length offload_tiles) (List.length issues)

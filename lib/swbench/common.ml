@@ -62,15 +62,16 @@ let measure_cache :
     Hashtbl.t =
   Hashtbl.create 16
 
-(* concurrent batch jobs may fall back to the memo when no store is
-   installed; the table is plain, so lookups/inserts are serialized *)
+(* the table is plain, so lookups/inserts are serialized: no caller
+   measures from two domains at once today, but the memo stays safe
+   if one does *)
 let memo_lock = Mutex.create ()
 
-(* The execution-configuration component of every memo and store key.
-   Results are bit-identical across domain counts by construction, but
-   the key must still record how a result was produced: a stored
-   measurement silently served across configurations would mask any
-   future determinism regression instead of exposing it. *)
+(* The execution-configuration component of every memo key.  Results
+   are bit-identical across domain counts by construction, but the key
+   must still record how a result was produced: a measurement silently
+   served across configurations would mask any future determinism
+   regression instead of exposing it. *)
 let exec_key () = Printf.sprintf "d%d" (Swpar.Domains.get ())
 
 (* the fault-plan component of a measure key: plan spec + seed, "-"
@@ -82,77 +83,24 @@ let faults_key = function
         (Swfault.Plan.to_string (Swfault.Injector.plan inj))
         (Swfault.Injector.seed inj)
 
-(* The persistent measure store (swstore Kv over a cache), when the
-   CLI installs one.  While installed it REPLACES the in-process memo:
-   repeats must be served by the store so they are observable as store
-   hits in traces and batch reports. *)
-let measure_store : Swstore.Kv.t option ref = ref None
-
-(** [set_measure_store kv] routes all subsequent {!measure} calls
-    through the persistent keyed store ([None] restores the in-process
-    memo). *)
-let set_measure_store kv = measure_store := kv
-
-(** Where a measurement came from: the in-process memo table, the
-    persistent store, or a fresh engine run. *)
-type source = Memo | Stored | Computed
-
-let source_name = function
-  | Memo -> "memo"
-  | Stored -> "store"
-  | Computed -> "computed"
-
-let store_key cfg ~version ~plan ~total_atoms ~n_cg ~faults =
-  [
-    "measure";
-    cfg.Swarch.Config.name;
-    Swgmx.Engine.version_name version;
-    Swstep.Plan.mode_name plan;
-    string_of_int total_atoms;
-    string_of_int n_cg;
-    faults_key faults;
-    exec_key ();
-  ]
-
-(** [measure_via ?cfg ?plan ?faults ~version ~total_atoms ~n_cg ()] is
-    {!measure} plus where the result came from.  With a persistent
-    store installed, repeats of a (platform, plan, workload, fault
-    plan) key are reassembled from the store ([Stored]); otherwise the
-    in-process memo answers ([Memo]). *)
-let measure_via ?cfg:cfg_opt ?(plan = Swstep.Plan.Serial) ?faults ~version
+(** [measure ?cfg ?plan ?faults ~version ~total_atoms ~n_cg ()] is
+    {!Swgmx.Engine.measure} through the memo. *)
+let measure ?cfg:cfg_opt ?(plan = Swstep.Plan.Serial) ?faults ~version
     ~total_atoms ~n_cg () =
   let cfg = match cfg_opt with Some c -> c | None -> cfg () in
-  let compute () =
-    Swgmx.Engine.measure ~cfg ~plan ?faults ~version ~total_atoms ~n_cg ()
+  let key =
+    (cfg.Swarch.Config.name, version, plan, total_atoms, n_cg,
+     faults_key faults, exec_key ())
   in
-  match !measure_store with
-  | Some kv -> (
-      let key = store_key cfg ~version ~plan ~total_atoms ~n_cg ~faults in
-      match Swstore.Kv.get kv ~key with
-      | Some payload -> (
-          match Swgmx.Engine.measurement_of_string payload with
-          | Ok m -> (m, Stored)
-          | Error msg ->
-              Swstore.Error.raise_corrupt (Swstore.Error.Bad_header msg))
-      | None ->
-          let m = compute () in
-          Swstore.Kv.put kv ~key (Swgmx.Engine.measurement_to_string m);
-          (m, Computed))
-  | None -> (
-      let key =
-        (cfg.Swarch.Config.name, version, plan, total_atoms, n_cg,
-         faults_key faults, exec_key ())
+  match
+    Mutex.protect memo_lock (fun () -> Hashtbl.find_opt measure_cache key)
+  with
+  | Some m -> m
+  | None ->
+      let m =
+        Swgmx.Engine.measure ~cfg ~plan ?faults ~version ~total_atoms ~n_cg ()
       in
-      match
-        Mutex.protect memo_lock (fun () -> Hashtbl.find_opt measure_cache key)
-      with
-      | Some m -> (m, Memo)
-      | None ->
-          let m = compute () in
-          Mutex.protect memo_lock (fun () ->
-              if not (Hashtbl.mem measure_cache key) then
-                Hashtbl.add measure_cache key m);
-          (m, Computed))
-
-let measure ?cfg ?plan ?faults ~version ~total_atoms ~n_cg () =
-  fst (measure_via ?cfg ?plan ?faults ~version ~total_atoms ~n_cg ())
+      Mutex.protect memo_lock (fun () ->
+          if not (Hashtbl.mem measure_cache key) then
+            Hashtbl.add measure_cache key m);
+      m

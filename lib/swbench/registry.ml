@@ -61,11 +61,6 @@ let all =
       run = (fun ~quick ppf -> Exp_fig13.run ~quick ppf);
     };
     {
-      id = "nbody";
-      title = "N-body: Barnes-Hut on the offload layer";
-      run = (fun ~quick ppf -> Exp_nbody.run ~quick ppf);
-    };
-    {
       id = "ablations";
       title = "Ablations: cache geometry, aggregation, gld vs DMA";
       run = (fun ~quick ppf -> Ablations.run ~quick ppf);

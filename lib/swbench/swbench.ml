@@ -6,7 +6,6 @@ module Table_render = Table_render
 module Workload = Workload
 module Common = Common
 module Alloc = Alloc
-module Batch = Batch
 module Exp_tables = Exp_tables
 module Exp_fig8 = Exp_fig8
 module Exp_fig9 = Exp_fig9

@@ -325,82 +325,6 @@ let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
     nsearch_miss;
   }
 
-(* ------------------------------------------------------------------ *)
-(* measurement persistence *)
-
-let measurement_magic = "swgmx-measurement 1"
-
-(** [measurement_to_string m] serializes a measurement for the
-    persistent store.  The phase graph's executor closures are
-    dropped; every derived number — Table-1 rows, totals, segments,
-    miss ratios — survives bit-exactly (hex float literals). *)
-let measurement_to_string m =
-  Printf.sprintf "%s\nstep_time %h\natoms_per_cg %d\nglobal_atoms %d\nread_miss %h\nnsearch_miss %h\nstep\n%s"
-    measurement_magic m.step_time m.atoms_per_cg m.global_atoms m.read_miss
-    m.nsearch_miss
-    (Swstep.Plan.result_to_string m.step)
-
-(** [measurement_of_string s] restores a stored measurement
-    ([m.step.phases] comes back empty — executors are closures). *)
-let measurement_of_string s : (measurement, string) result =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | line :: rest ->
-        let prefix = name ^ " " in
-        let plen = String.length prefix in
-        if String.length line > plen && String.sub line 0 plen = prefix then
-          Ok (String.sub line plen (String.length line - plen), rest)
-        else Error (Printf.sprintf "expected %s line, got %S" name line)
-    | [] -> Error (Printf.sprintf "truncated at %s line" name)
-  in
-  let ffield name rest =
-    let* v, rest = field name rest in
-    match float_of_string_opt v with
-    | Some x when not (Float.is_nan x) -> Ok (x, rest)
-    | _ -> Error (Printf.sprintf "bad %s value %S" name v)
-  in
-  let nfield name rest =
-    let* v, rest = field name rest in
-    match int_of_string_opt v with
-    | Some n when n >= 0 -> Ok (n, rest)
-    | _ -> Error (Printf.sprintf "bad %s value %S" name v)
-  in
-  let lines = String.split_on_char '\n' s in
-  let* rest =
-    match lines with
-    | m :: rest when m = measurement_magic -> Ok rest
-    | m :: _ -> Error (Printf.sprintf "bad magic %S" m)
-    | [] -> Error "empty input"
-  in
-  let* step_time, rest = ffield "step_time" rest in
-  let* atoms_per_cg, rest = nfield "atoms_per_cg" rest in
-  let* global_atoms, rest = nfield "global_atoms" rest in
-  let* read_miss, rest = ffield "read_miss" rest in
-  let* nsearch_miss, rest = ffield "nsearch_miss" rest in
-  let* rest =
-    match rest with
-    | "step" :: rest -> Ok rest
-    | line :: _ -> Error (Printf.sprintf "expected step marker, got %S" line)
-    | [] -> Error "truncated at step marker"
-  in
-  let* step = Swstep.Plan.result_of_string (String.concat "\n" rest) in
-  Ok { step; step_time; atoms_per_cg; global_atoms; read_miss; nsearch_miss }
-
-(* ------------------------------------------------------------------ *)
-(* checkpoints through the object store *)
-
-(** [checkpoint_sink cache ~name] is an [on_checkpoint] callback that
-    files every capture into the store under [name] (the mutable head
-    of the run — a crash resumes from the newest chunk set). *)
-let checkpoint_sink cache ~name ck =
-  Swstore.Objects.put_checkpoint cache ~name ck
-
-(** [restart_of_store cache ~name] loads the store-held checkpoint
-    [name] for use as [~restart].  Integrity failures raise
-    {!Swstore.Error.Corrupt} — a damaged checkpoint must not silently
-    restart from step 0. *)
-let restart_of_store cache ~name = Swstore.Objects.get_checkpoint cache ~name
-
 (** [trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan
     ?faults ~version ~total_atoms ~n_cg ~steps ()] calls {!measure}
     [steps] times with the recorder running: each call builds the same

@@ -8,9 +8,9 @@
     bit.
 
     A domain-local flag marks execution inside a parallel section;
-    {!Pool} consults it so nested parallel calls (a batch job that
-    itself runs a sharded kernel) degrade to the inline path instead of
-    oversubscribing the machine or deadlocking the fixed pool. *)
+    {!Pool} consults it so nested parallel calls (a shard whose work
+    itself opens a parallel section) degrade to the inline path instead
+    of oversubscribing the machine or deadlocking the fixed pool. *)
 
 let configured = ref 1
 

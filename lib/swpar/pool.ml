@@ -149,17 +149,3 @@ let iter_stripes ~n f =
   ignore
     (map_stripes ~n (fun ~shard ~lo ~hi ->
          f ~shard ~lo ~hi) : unit array)
-
-(** [map_array f xs] applies [f] to every element of [xs] with the
-    elements statically striped over the domains, returning results in
-    element order.  Element [i] is always processed by the shard whose
-    stripe contains [i], so the assignment — like everything here — is
-    independent of timing. *)
-let map_array f xs =
-  let n = Array.length xs in
-  let out = Array.make n None in
-  iter_stripes ~n (fun ~shard:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- Some (f xs.(i))
-      done);
-  Array.map Option.get out

@@ -329,152 +329,6 @@ let run ?(mode = Serial) ~cfg ~cg ~t0 (step : Phase.step) =
 (** [total r] is the step makespan (also the sum of [r.rows]). *)
 let total r = r.total
 
-(* ------------------------------------------------------------------ *)
-(* persistence *)
-
-(* A result holds executor closures (in [phases]), which cannot
-   round-trip through bytes; the persistent form keeps every derived
-   number — rows, totals, segments — and restores [phases] empty.
-   Floats travel as hexadecimal literals (%h), so a restored result is
-   bit-identical to the measured one.  Row and segment names may
-   contain spaces, so multi-field lines are tab-separated. *)
-
-let persist_magic = "swstep-result 1"
-
-(* guards the parser against a corrupted count driving allocation *)
-let persist_max_lines = 100_000
-
-let mode_name = function Serial -> "serial" | Overlap -> "overlap"
-
-let mode_of_name = function
-  | "serial" -> Some Serial
-  | "overlap" -> Some Overlap
-  | _ -> None
-
-(** [result_to_string r] serializes the derived numbers of [r]
-    ([phases] is dropped — executors are closures). *)
-let result_to_string r =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf "%s\n" persist_magic;
-  Printf.bprintf buf "label %s\n" r.label;
-  Printf.bprintf buf "mode %s\n" (mode_name r.mode);
-  Printf.bprintf buf "total %h\n" r.total;
-  Printf.bprintf buf "critical_path %h\n" r.critical_path;
-  Printf.bprintf buf "compute_window %h\n" r.compute_window;
-  Printf.bprintf buf "comm_total %h\n" r.comm_total;
-  Printf.bprintf buf "comm_hidden %h\n" r.comm_hidden;
-  Printf.bprintf buf "rows %d\n" (List.length r.rows);
-  List.iter (fun (name, t) -> Printf.bprintf buf "%h\t%s\n" t name) r.rows;
-  Printf.bprintf buf "segments %d\n" (List.length r.segments);
-  List.iter
-    (fun s ->
-      Printf.bprintf buf "%h\t%h\t%s\t%s\n" s.seg_start s.seg_dur s.seg_name
-        s.seg_row)
-    r.segments;
-  Buffer.contents buf
-
-(** [result_of_string s] restores a serialized result ([phases] comes
-    back empty).  Returns a description of the first malformed line on
-    damaged input. *)
-let result_of_string s : (result, string) Stdlib.result =
-  let ( let* ) = Result.bind in
-  let field name = function
-    | line :: rest ->
-        let prefix = name ^ " " in
-        let plen = String.length prefix in
-        if String.length line > plen && String.sub line 0 plen = prefix then
-          Ok (String.sub line plen (String.length line - plen), rest)
-        else Error (Printf.sprintf "expected %s line, got %S" name line)
-    | [] -> Error (Printf.sprintf "truncated at %s line" name)
-  in
-  let ffield name rest =
-    let* v, rest = field name rest in
-    match float_of_string_opt v with
-    | Some x when not (Float.is_nan x) -> Ok (x, rest)
-    | _ -> Error (Printf.sprintf "bad %s value %S" name v)
-  in
-  let nfield name rest =
-    let* v, rest = field name rest in
-    match int_of_string_opt v with
-    | Some n when n >= 0 && n <= persist_max_lines -> Ok (n, rest)
-    | _ -> Error (Printf.sprintf "bad %s count %S" name v)
-  in
-  let count_lines what n parse rest =
-    let rec go n acc = function
-      | rest when n = 0 -> Ok (List.rev acc, rest)
-      | line :: rest -> (
-          match parse (String.split_on_char '\t' line) with
-          | Some v -> go (n - 1) (v :: acc) rest
-          | None -> Error (Printf.sprintf "bad %s line %S" what line))
-      | [] -> Error (Printf.sprintf "truncated %s list" what)
-    in
-    go n [] rest
-  in
-  let lines = String.split_on_char '\n' s in
-  let* rest =
-    match lines with
-    | m :: rest when m = persist_magic -> Ok rest
-    | m :: _ -> Error (Printf.sprintf "bad magic %S" m)
-    | [] -> Error "empty input"
-  in
-  let* label, rest = field "label" rest in
-  let* mode, rest =
-    let* v, rest = field "mode" rest in
-    match mode_of_name v with
-    | Some m -> Ok (m, rest)
-    | None -> Error (Printf.sprintf "bad mode %S" v)
-  in
-  let* total, rest = ffield "total" rest in
-  let* critical_path, rest = ffield "critical_path" rest in
-  let* compute_window, rest = ffield "compute_window" rest in
-  let* comm_total, rest = ffield "comm_total" rest in
-  let* comm_hidden, rest = ffield "comm_hidden" rest in
-  let* nrows, rest = nfield "rows" rest in
-  let* rows, rest =
-    count_lines "row" nrows
-      (function
-        | [ t; name ] when name <> "" -> (
-            match float_of_string_opt t with
-            | Some x when not (Float.is_nan x) -> Some (name, x)
-            | _ -> None)
-        | _ -> None)
-      rest
-  in
-  let* nsegs, rest = nfield "segments" rest in
-  let* segments, rest =
-    count_lines "segment" nsegs
-      (function
-        | [ st; d; name; row ] when name <> "" && row <> "" -> (
-            match (float_of_string_opt st, float_of_string_opt d) with
-            | Some seg_start, Some seg_dur
-              when not (Float.is_nan seg_start || Float.is_nan seg_dur) ->
-                Some { seg_name = name; seg_row = row; seg_start; seg_dur }
-            | _ -> None)
-        | _ -> None)
-      rest
-  in
-  (* the serializer ends with exactly one newline: its absence means
-     the tail was cut off, possibly mid-number *)
-  let* () =
-    match rest with
-    | [ "" ] -> Ok ()
-    | [] -> Error "truncated final newline"
-    | junk :: _ -> Error (Printf.sprintf "trailing junk %S" junk)
-  in
-  Ok
-    {
-      label;
-      mode;
-      phases = [];
-      rows;
-      total;
-      critical_path;
-      compute_window;
-      comm_total;
-      comm_hidden;
-      segments;
-    }
-
 (** [row r label] looks one Table-1 row up (0 when absent). *)
 let row r label =
   match List.assoc_opt label r.rows with Some t -> t | None -> 0.0

@@ -72,29 +72,6 @@ let dma_summary ppf events =
             (Analysis.bucket_bw b /. 1e9))
         buckets
 
-(** [store_summary ppf events] prints object-store traffic: counts of
-    lookups, hits, misses, writes and evictions (category ["store"]
-    instants on the store track) plus the bytes moved, so cache-served
-    repeats are visible in the same report as the phases they saved. *)
-let store_summary ppf events =
-  let ops = List.filter (fun e -> e.Event.cat = "store") events in
-  if ops <> [] then begin
-    let count name = List.length (List.filter (fun e -> e.Event.name = name) ops) in
-    let bytes name =
-      List.fold_left
-        (fun a e -> if e.Event.name = name then a +. Event.arg e "bytes" else a)
-        0.0 ops
-    in
-    let gets = count "get" and hits = count "hit" and misses = count "miss" in
-    Fmt.pf ppf
-      "store: %d gets (%d hits, %d misses, %.1f%% hit), %d puts, %d evicts@."
-      gets hits misses
-      (pct (float_of_int hits) (float_of_int (hits + misses)))
-      (count "put") (count "evict");
-    Fmt.pf ppf "store bytes: %.3e read (hits), %.3e written, %.3e evicted@."
-      (bytes "hit") (bytes "put") (bytes "evict")
-  end
-
 (** [roofline_summary ?peak_flops ?peak_bw ppf events] prints per-kernel
     operational intensity and attained rates; when the machine peaks
     are supplied each kernel also shows its percentage of roofline. *)
@@ -142,9 +119,5 @@ let print ?platform ?peak_flops ?peak_bw ppf events =
   utilization_summary ppf events;
   Fmt.pf ppf "@.--- trace summary: DMA bandwidth by transfer size ---@.";
   dma_summary ppf events;
-  (if List.exists (fun e -> e.Event.cat = "store") events then begin
-     Fmt.pf ppf "@.--- trace summary: object store ---@.";
-     store_summary ppf events
-   end);
   Fmt.pf ppf "@.--- trace summary: kernel roofline ---@.";
   roofline_summary ?peak_flops ?peak_bw ppf events

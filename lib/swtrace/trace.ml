@@ -52,14 +52,13 @@ let track_of_old_index ~old_cpe i =
   if i = 0 then Track.Mpe
   else if i >= 1 && i <= old_cpe then Track.Cpe (i - 1)
   else if i = old_cpe + 1 then Track.Net
-  else if i = old_cpe + 2 then Track.Fault
-  else Track.Store
+  else Track.Fault
 
 let resize () =
   let old_count = Array.length st.cursors in
   let new_count = Track.count () in
   if new_count <> old_count then begin
-    let old_cpe = old_count - 4 in
+    let old_cpe = old_count - 3 in
     let cursors = Array.make new_count 0.0 in
     let stacks = Array.make new_count [] in
     let current_track = track_of_old_index ~old_cpe (current ()) in

@@ -17,7 +17,6 @@ type t =
   | Cpe of int  (** compute element of the core group *)
   | Net  (** the interconnect: halo, PME transpose, collectives *)
   | Fault  (** fault injections and recoveries (swfault) *)
-  | Store  (** object-store traffic: get/hit/miss/put/evict (swstore) *)
 
 (* The CPE lane count starts at a 1-lane placeholder; the first
    core-group instantiation replaces it with the platform's CPE count
@@ -34,10 +33,10 @@ let on_resize f = resize_hooks := f :: !resize_hooks
     core-group geometry of the active platform. *)
 let cpe_tracks () = !cpe_track_count
 
-(* Concurrent batch jobs instantiate core groups from pool domains, so
-   the geometry check-and-resize must be atomic; the fast path (count
-   unchanged, which is every call after the first per platform) still
-   takes the lock, but only for one comparison. *)
+(* No caller instantiates core groups from two domains at once today,
+   but the geometry check-and-resize stays atomic so that one may; the
+   fast path (count unchanged, which is every call after the first per
+   platform) still takes the lock, but only for one comparison. *)
 let resize_mutex = Mutex.create ()
 
 (** [set_cpe_tracks n] installs the CPE lane count of the machine being
@@ -52,7 +51,7 @@ let set_cpe_tracks n =
       end)
 
 (** [count ()] is the total number of tracks. *)
-let count () = !cpe_track_count + 4
+let count () = !cpe_track_count + 3
 
 (** [index t] is the dense track index, also used as the trace tid:
     MPE first, then the CPE mesh, the network last. *)
@@ -64,7 +63,6 @@ let index = function
       1 + i
   | Net -> !cpe_track_count + 1
   | Fault -> !cpe_track_count + 2
-  | Store -> !cpe_track_count + 3
 
 (** [of_index i] inverts {!index}. *)
 let of_index i =
@@ -73,7 +71,6 @@ let of_index i =
   else if i >= 1 && i <= cpe then Cpe (i - 1)
   else if i = cpe + 1 then Net
   else if i = cpe + 2 then Fault
-  else if i = cpe + 3 then Store
   else invalid_arg "Track.of_index"
 
 (** [name t] is the human-readable lane label shown by trace viewers. *)
@@ -82,6 +79,5 @@ let name = function
   | Cpe i -> Printf.sprintf "CPE %02d" i
   | Net -> "network"
   | Fault -> "fault"
-  | Store -> "store"
 
 let pp ppf t = Fmt.string ppf (name t)

@@ -221,39 +221,83 @@ let energy_conservation (_ : Config.t) ~gen ~seed =
 
 (* --- 5. thermostat convergence (physical-drift) ------------------------ *)
 
+(* Berendsen coupling must hold the box nearer t_ref than the box
+   drifts on its own.  There is no known starting gap to close:
+   [thermalize] draws unconstrained velocities, so the first SHAKE step
+   removes their bond-direction components (500 K drawn, ~280-355 K
+   read after one step); and the 40-step minimisation stops in a local
+   minimum, so the heated box keeps releasing potential energy
+   (uncoupled, ~490-720 K by step 60).  So the property prepares the
+   same state twice, runs it once uncoupled and once coupled, and
+   bounds the coupled run's deviation by the uncoupled run's.
+
+   The bound.  Per step, Berendsen scales the temperature by
+   lambda^2 = 1 + a (T_ref/T - 1), a = dt/tau, so (inside the lambda
+   clamp) the deviation d = T - T_ref follows d <- (1 - a) d + h_k,
+   where h_k is what step k's dynamics add; uncoupled, d <- d + h_k.
+   From a shared start d0, after N steps:
+     d_u = d0 + H,  d_c = (1-a)^N d0 + sum_k (1-a)^(N-1-k) h_k,
+   with H = sum_k h_k.  When the heating does not speed up over the run
+   (the box relaxes fastest first), the filtered sum is at most r H,
+   r = (1 - (1-a)^N) / (a N) being its value at a constant rate; and
+   H <= |d_u| + |d0|.  Hence
+     |d_c| <= r (|d_u| + |d0|) + (1-a)^N |d0|.
+   At tau = 0.02 ps, dt = 1 fs and N = 60, r = 0.32; the measured
+   d_c/d_u is 0.20-0.37 on the nightly seeds.  The check allows 1.5 r
+   (0.48): the heating of a 96-atom box is not strictly monotone, and
+   the two runs' trajectories part.  A five times weaker coupling
+   (r = 0.75, measured 0.69-0.78), no coupling (ratio 1) and coupling
+   with the wrong sign (ratio > 1) all fail it. *)
 let thermostat_convergence (_ : Config.t) ~gen ~seed =
   checking (fun () ->
-      let st = Gen.build gen ~seed in
-      let box = st.Md.Md_state.box in
-      let rcut = Float.min 0.4 (0.4 *. Md.Box.min_edge box) in
-      let t_ref = 300.0 in
-      let config =
-        {
-          Md.Workflow.dt = 0.001;
-          nstlist = 5;
-          rlist = rcut +. 0.05;
-          nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Reaction_field };
-          pme_grid = None;
-          thermostat = Some (Md.Thermostat.create ~t_ref ~tau:0.02 ());
-        }
+      let t_ref = 300.0 and tau = 0.02 and dt = 0.001 and steps = 60 in
+      (* the shared preparation, then [steps] steps under [thermostat];
+         returns the temperatures at the start and the end *)
+      let run thermostat =
+        let st = Gen.build gen ~seed in
+        let box = st.Md.Md_state.box in
+        let rcut = Float.min 0.4 (0.4 *. Md.Box.min_edge box) in
+        let config =
+          {
+            Md.Workflow.dt;
+            nstlist = 5;
+            rlist = rcut +. 0.05;
+            nb = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Reaction_field };
+            pme_grid = None;
+            thermostat = None;
+          }
+        in
+        let w = Md.Workflow.create ~config st in
+        ignore (Md.Workflow.minimize ~steps:40 w);
+        Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) 500.0;
+        (* one uncoupled step lets SHAKE project the drawn velocities *)
+        Md.Workflow.step w;
+        let t0 = Md.Md_state.temperature st in
+        Md.Workflow.run
+          (Md.Workflow.create ~config:{ config with thermostat } st)
+          steps;
+        (t0, Md.Md_state.temperature st)
       in
-      let w = Md.Workflow.create ~config st in
-      ignore (Md.Workflow.minimize ~steps:40 w);
-      Md.Md_state.thermalize st (Md.Rng.create (seed + 1)) 500.0;
-      let dev0 = Float.abs (Md.Md_state.temperature st -. t_ref) in
-      Md.Workflow.run w 60;
-      let tf = Md.Md_state.temperature st in
-      if not (Float.is_finite tf) then
-        failwith (Printf.sprintf "temperature went non-finite: %h" tf);
-      let dev = Float.abs (tf -. t_ref) in
-      (* tight coupling must close most of a 200 K gap in 60 fs, down
-         to the ~sqrt(2/3N) kinetic fluctuation floor of a small box *)
-      if dev > Float.max (0.15 *. t_ref) (0.5 *. dev0) then
+      let t0, tu = run None in
+      let _, tc = run (Some (Md.Thermostat.create ~t_ref ~tau ())) in
+      if not (Float.is_finite tu && Float.is_finite tc) then
+        failwith
+          (Printf.sprintf "temperature went non-finite: %h uncoupled, %h coupled"
+             tu tc);
+      let d0 = Float.abs (t0 -. t_ref)
+      and du = Float.abs (tu -. t_ref)
+      and dc = Float.abs (tc -. t_ref) in
+      let a = dt /. tau in
+      let decay = (1.0 -. a) ** float_of_int steps in
+      let r = (1.0 -. decay) /. (a *. float_of_int steps) in
+      let bound = (1.5 *. r *. (du +. d0)) +. (decay *. d0) in
+      if dc > bound then
         failwith
           (Printf.sprintf
-             "thermostat did not converge: started %.1f K off target, still \
-              %.1f K off after 60 steps"
-             dev0 dev))
+             "thermostat did not couple: after %d steps from %.1f K the \
+              coupled run is %.1f K off target, the uncoupled run %.1f K \
+              (ratio %.2f); bound %.1f K"
+             steps t0 dc du (dc /. du) bound))
 
 (* --- 6. denormal robustness (physical-drift) --------------------------- *)
 
@@ -573,114 +617,6 @@ let offload_identity (c : Config.t) ~gen ~seed =
           ("gst count", tc.Swarch.Cost.gst_count, tr.Swarch.Cost.gst_count);
         ])
 
-(* --- 13. N-body energy conservation (physical-drift + exact-bits) ------- *)
-
-(* The Barnes-Hut workload is the offload API's proof on an irregular
-   working set.  Leapfrog over the softened self-gravity must hold
-   total energy to a drift budget, and — like every simulated figure —
-   the whole report must be bit-identical across domain counts. *)
-let nbody_energy (c : Config.t) ~gen ~seed =
-  checking (fun () ->
-      let cfg = Config.cfg c in
-      let n = max 32 (3 * Gen.molecules gen) in
-      let run d =
-        with_domains d (fun () ->
-            Swnbody.Sim.simulate ~cfg ~n ~steps:10 ~seed ())
-      in
-      let r = run 1 in
-      if not (Float.is_finite r.Swnbody.Sim.e_final) then
-        failwith
-          (Printf.sprintf "nbody energy non-finite: %h" r.Swnbody.Sim.e_final);
-      if r.Swnbody.Sim.max_drift > 5e-3 then
-        failwith
-          (Printf.sprintf
-             "nbody energy drift %.3e exceeds the 5e-3 budget over %d steps"
-             r.Swnbody.Sim.max_drift r.Swnbody.Sim.steps);
-      let other = if c.Config.domains = 1 then 2 else c.Config.domains in
-      let rn = run other in
-      let what = Printf.sprintf "nbody domains 1 vs %d" other in
-      Tol.check ~what:(what ^ ": e0") Tol.exact r.Swnbody.Sim.e0
-        rn.Swnbody.Sim.e0;
-      Tol.check ~what:(what ^ ": final energy") Tol.exact
-        r.Swnbody.Sim.e_final rn.Swnbody.Sim.e_final;
-      Tol.check ~what:(what ^ ": elapsed") Tol.exact r.Swnbody.Sim.elapsed_s
-        rn.Swnbody.Sim.elapsed_s;
-      Tol.check ~what:(what ^ ": dma bytes") Tol.exact r.Swnbody.Sim.dma_bytes
-        rn.Swnbody.Sim.dma_bytes;
-      if r.Swnbody.Sim.node_visits <> rn.Swnbody.Sim.node_visits then
-        failwith (what ^ ": node visit counts differ"))
-
-(* --- 14. N-body force antisymmetry (exact-bits + physical-drift) --------- *)
-
-(* The traversal shares one interaction coefficient between both
-   members of a pair, and the coefficient is an even function of the
-   displacement — so direct-sum partner forces are bitwise negations,
-   the direct net force vanishes to rounding, and the tree
-   approximation must sit within the opening-angle error envelope of
-   the direct sum. *)
-let nbody_antisymmetry (c : Config.t) ~gen ~seed =
-  checking (fun () ->
-      let cfg = Config.cfg c in
-      let rng = Md.Rng.create seed in
-      let eps2 = 0.05 *. 0.05 in
-      for _ = 1 to 64 do
-        let dx = Md.Rng.uniform rng (-1.0) 1.0 in
-        let dy = Md.Rng.uniform rng (-1.0) 1.0 in
-        let dz = Md.Rng.uniform rng (-1.0) 1.0 in
-        let cf = Swnbody.Bh.pair_coef ~eps2 ~dx ~dy ~dz in
-        let cr =
-          Swnbody.Bh.pair_coef ~eps2 ~dx:(-.dx) ~dy:(-.dy) ~dz:(-.dz)
-        in
-        Tol.check ~what:"pair coefficient even in the displacement" Tol.exact
-          cf cr;
-        Tol.check ~what:"partner force is the bitwise negation" Tol.exact
-          (-.(cf *. dx))
-          (cr *. -.dx)
-      done;
-      let n = max 32 (3 * Gen.molecules gen) in
-      let t = Swnbody.Sim.make ~n ~seed () in
-      let theta = 0.3 in
-      let direct = Mdcore.Fbuf.create (3 * n) in
-      ignore
-        (Swnbody.Bh.direct ~eps:t.Swnbody.Sim.eps ~pos:t.Swnbody.Sim.pos
-           ~mass:t.Swnbody.Sim.mass ~acc:direct n);
-      let d = Md.Fbuf.to_array direct in
-      (* direct net force: exact pair cancellation up to accumulation *)
-      let fscale = ref 0.0 in
-      for i = 0 to n - 1 do
-        let m = Md.Fbuf.get t.Swnbody.Sim.mass i in
-        for k = 0 to 2 do
-          fscale := !fscale +. Float.abs (m *. d.((3 * i) + k))
-        done
-      done;
-      for k = 0 to 2 do
-        let net = ref 0.0 in
-        for i = 0 to n - 1 do
-          net :=
-            !net +. (Md.Fbuf.get t.Swnbody.Sim.mass i *. d.((3 * i) + k))
-        done;
-        Tol.check
-          ~what:(Printf.sprintf "nbody direct net force component %d" k)
-          (Tol.rel_abs ~rel:0.0 ~abs:((1e-13 *. !fscale) +. 1e-12))
-          0.0 !net
-      done;
-      (* Barnes-Hut within the opening-angle envelope of the direct sum *)
-      let cg = Swarch.Core_group.create cfg in
-      let tree =
-        Swnbody.Octree.build ~n ~pos:t.Swnbody.Sim.pos ~mass:t.Swnbody.Sim.mass
-          ~mpe:cg.Swarch.Core_group.mpe ()
-      in
-      let plan = Swnbody.Bh.plan cfg ~n in
-      ignore
-        (Swnbody.Bh.forces ~cg ~plan ~tree ~theta ~eps:t.Swnbody.Sim.eps
-           ~pos:t.Swnbody.Sim.pos ~mass:t.Swnbody.Sim.mass ~acc:t.Swnbody.Sim.acc
-           ());
-      let bh = Md.Fbuf.to_array t.Swnbody.Sim.acc in
-      let ascale = Float.max 1.0 (max_abs d) in
-      Buf.check_arrays ~what:"Barnes-Hut vs direct accelerations"
-        (Tol.rel_abs ~rel:0.0 ~abs:(0.05 *. ascale))
-        d bh)
-
 (* --- the catalog -------------------------------------------------------- *)
 
 let water n = Gen.Water { molecules = n }
@@ -733,8 +669,9 @@ let all =
       name = "thermostat-convergence";
       axes = [];
       gens = [ water 32 ];
-      doc = "Berendsen coupling closes a 200 K gap to the fluctuation floor \
-             [physical-drift]";
+      doc = "Berendsen coupling (tau 0.02 ps) keeps the box within 1.5 r of \
+             its uncoupled drift from t_ref over 60 steps, r = 0.32 the \
+             constant-heating ratio [physical-drift]";
       run = thermostat_convergence;
     };
     {
@@ -792,23 +729,6 @@ let all =
              bit: energies, forces, pair counts, every cost accumulator \
              [exact-bits]";
       run = offload_identity;
-    };
-    {
-      name = "nbody-energy";
-      axes = [ Config.Platform_axis; Config.Domains_axis ];
-      gens = [ water 24 ];
-      doc = "Barnes-Hut leapfrog holds total energy to the drift budget; the \
-             report is bit-identical across --domains [physical-drift]";
-      run = nbody_energy;
-    };
-    {
-      name = "nbody-antisymmetry";
-      axes = [ Config.Platform_axis ];
-      gens = [ water 24 ];
-      doc = "gravity pair coefficient even in the displacement (partner \
-             forces bitwise negations); direct net force vanishes; tree \
-             within the opening-angle envelope [exact-bits]";
-      run = nbody_antisymmetry;
     };
   ]
 
