@@ -301,6 +301,71 @@ let test_xtc_hostile_headers () =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ prop_format_matches_printf; prop_format_roundtrip ]
 
+(* Checkpoint: the writer side and the wire format.  The file route is
+   the only checkpoint path, so its format is pinned byte for byte. *)
+
+let test_checkpoint_wire_format () =
+  let pos = Fvec.of_array [| 1.0; 0.5; -2.0 |] in
+  let vel = Fvec.of_array [| 0.25; 0.0; -0.0 |] in
+  let ck = Checkpoint.capture ~platform:"sw26010" ~step:3 ~pos ~vel ~n_atoms:1 () in
+  let s = Checkpoint.to_string ck in
+  Alcotest.(check string) "version-2 text"
+    "swgmx-checkpoint 2\nplatform sw26010\n3 1\n0x1p+0\n0x1p-1\n-0x1p+1\n\
+     0x1p-2\n0x0p+0\n-0x0p+0\n"
+    s;
+  let back = Checkpoint.of_string s in
+  Alcotest.(check (list int64)) "signed zero survives"
+    (List.map Int64.bits_of_float [ 0.25; 0.0; -0.0 ])
+    (List.map Int64.bits_of_float (Array.to_list back.Checkpoint.vel))
+
+let test_checkpoint_capture_validates () =
+  let f n = Fvec.of_array (Array.make n 0.0) in
+  rejects "negative step" (fun () ->
+      Checkpoint.capture ~step:(-1) ~pos:(f 6) ~vel:(f 6) ~n_atoms:2 ());
+  rejects "short positions" (fun () ->
+      Checkpoint.capture ~step:0 ~pos:(f 3) ~vel:(f 6) ~n_atoms:2 ());
+  rejects "short velocities" (fun () ->
+      Checkpoint.capture ~step:0 ~pos:(f 6) ~vel:(f 5) ~n_atoms:2 ());
+  rejects "platform with a space" (fun () ->
+      Checkpoint.capture ~platform:"sw 26010" ~step:0 ~pos:(f 6) ~vel:(f 6)
+        ~n_atoms:2 ());
+  rejects "platform with a newline" (fun () ->
+      Checkpoint.capture ~platform:"sw\n1 1" ~step:0 ~pos:(f 6) ~vel:(f 6)
+        ~n_atoms:2 ());
+  (* capture copies: later writes to the live buffers do not leak in *)
+  let pos = f 6 in
+  let ck = Checkpoint.capture ~step:0 ~pos ~vel:(f 6) ~n_atoms:2 () in
+  pos.{0} <- 9.0;
+  Alcotest.(check (float 0.0)) "snapshot is a copy" 0.0 ck.Checkpoint.pos.(0)
+
+let test_checkpoint_restore () =
+  let ck = sample_checkpoint () in
+  let n = ck.Checkpoint.n_atoms in
+  let pos = Fvec.of_array (Array.make (3 * n) 7.0) in
+  let vel = Fvec.of_array (Array.make (3 * n) 7.0) in
+  Alcotest.(check int) "returns the step" ck.Checkpoint.step
+    (Checkpoint.restore ck ~pos ~vel);
+  Alcotest.(check bool) "positions written back" true
+    (Fvec.to_array pos = ck.Checkpoint.pos);
+  Alcotest.(check bool) "velocities written back" true
+    (Fvec.to_array vel = ck.Checkpoint.vel);
+  let small = Fvec.of_array (Array.make (3 * (n - 1)) 0.0) in
+  rejects "restore into fewer atoms" (fun () ->
+      Checkpoint.restore ck ~pos:small ~vel);
+  rejects "restore velocities into fewer atoms" (fun () ->
+      Checkpoint.restore ck ~pos ~vel:small)
+
+let test_checkpoint_platform_line () =
+  let body = "10 1\n0x0p+0\n0x0p+0\n0x0p+0\n0x0p+0\n0x0p+0\n0x0p+0\n" in
+  rejects "version 2 without a platform line" (fun () ->
+      Checkpoint.of_string ("swgmx-checkpoint 2\n" ^ body));
+  rejects "misspelt platform line" (fun () ->
+      Checkpoint.of_string ("swgmx-checkpoint 2\nplatfrm x\n" ^ body));
+  rejects "magic only" (fun () -> Checkpoint.of_string "swgmx-checkpoint 2");
+  let ck = Checkpoint.of_string ("swgmx-checkpoint 2\nplatform \n" ^ body) in
+  Alcotest.(check string) "empty platform name parses" "" ck.Checkpoint.platform;
+  Alcotest.(check int) "step" 10 ck.Checkpoint.step
+
 let suites =
   [
     ( "swio.fast_format",
@@ -336,6 +401,14 @@ let suites =
           test_xtc_truncation_fuzz;
         Alcotest.test_case "xtc: hostile headers" `Quick
           test_xtc_hostile_headers;
+      ] );
+    ( "swio.checkpoint",
+      [
+        Alcotest.test_case "wire format" `Quick test_checkpoint_wire_format;
+        Alcotest.test_case "capture validates" `Quick
+          test_checkpoint_capture_validates;
+        Alcotest.test_case "restore" `Quick test_checkpoint_restore;
+        Alcotest.test_case "platform line" `Quick test_checkpoint_platform_line;
       ] );
     ("swio.properties", qsuite);
   ]

@@ -206,6 +206,67 @@ let test_measure_rejects_bad_config () =
     (Invalid_argument "Platform: dma_points must be size-sorted") (fun () ->
       ignore (E.measure ~cfg:bad ~version:E.V_ori ~total_atoms:600 ~n_cg:1 ()))
 
+let test_validate_self_dependency () =
+  Alcotest.check_raises "self dependency"
+    (Invalid_argument "Swstep: phase \"a\" depends on itself") (fun () ->
+      ignore (P.make ~label:"t" ~rows:[ "r" ] [ chip "a" ~deps:[ "a" ] () ]))
+
+let test_validate_comm_outside_sync () =
+  (* the sync window is the on-chip time communication waits on: a
+     comm phase, or an amortized one, cannot be part of it *)
+  let request =
+    {
+      Swcomm.Step_comm.net = Swcomm.Network.of_platform cfg;
+      transport = Swcomm.Network.Mpi;
+      total_atoms = 3000;
+      ranks = 4;
+      rcut = 1.0;
+      box_edge = 6.0;
+      pme_grid = 32;
+      compute_time = 0.0;
+      faults = None;
+    }
+  in
+  let comm = P.Comm { request; part = P.Halo } in
+  Alcotest.(check bool) "comm runs on the network" true
+    (P.resource_of comm = P.Net);
+  Alcotest.(check bool) "amortized comm stays on the network" true
+    (P.resource_of (P.Amortized (10, P.v ~row:"r" "inner" comm)) = P.Net);
+  Alcotest.(check bool) "amortized chip work stays on the chip" true
+    (P.resource_of (P.Amortized (10, chip "inner" ())) = P.Chip);
+  Alcotest.check_raises "comm in the sync window"
+    (Invalid_argument "Swstep: comm phase \"halo\" cannot be in the sync window")
+    (fun () ->
+      ignore
+        (P.make ~label:"t" ~rows:[ "r" ] [ P.v ~sync:true ~row:"r" "halo" comm ]));
+  (* the same phase outside the window is fine *)
+  ignore (P.make ~label:"t" ~rows:[ "r" ] [ P.v ~row:"r" "halo" comm ])
+
+let test_analytic_pricing () =
+  (* closed-form paths: the MPE at its scalar issue rate plus cache
+     traffic, the CPEs striped over the mesh plus DMA at plateau *)
+  let w = P.add_work (P.per_atom ~flops:10.0 ~bytes:4.0 1000) P.no_work in
+  Alcotest.(check (float 0.0)) "flops" 10_000.0 w.P.flops;
+  Alcotest.(check (float 0.0)) "bytes" 4_000.0 w.P.bytes;
+  let w2 = P.add_work w w in
+  Alcotest.(check (float 0.0)) "added flops" 20_000.0 w2.P.flops;
+  Alcotest.(check (float 0.0)) "added bytes" 8_000.0 w2.P.bytes;
+  let c = cfg in
+  Alcotest.(check (float 1e-18)) "MPE time"
+    ((10_000.0 /. c.Swarch.Config.mpe_flops_per_cycle
+     /. c.Swarch.Config.mpe_freq_hz)
+    +. (4_000.0 /. c.Swarch.Config.mpe_mem_bw))
+    (P.mpe_time c w);
+  Alcotest.(check (float 1e-18)) "CPE time"
+    ((10_000.0 /. float_of_int c.Swarch.Config.cpe_count
+     /. c.Swarch.Config.cpe_freq_hz)
+    +. (4_000.0 /. Swarch.Config.peak_dma_bw c))
+    (P.cpe_time c w);
+  Alcotest.(check bool) "the mesh beats the MPE on streamed work" true
+    (P.cpe_time c w < P.mpe_time c w);
+  Alcotest.(check (float 0.0)) "no work is free" 0.0
+    (P.mpe_time c P.no_work +. P.cpe_time c P.no_work)
+
 let suites =
   [
     ( "swstep.validate",
@@ -216,6 +277,11 @@ let suites =
         Alcotest.test_case "unlisted row" `Quick test_validate_unlisted_row;
         Alcotest.test_case "amortized interval" `Quick
           test_amortized_interval_positive;
+        Alcotest.test_case "self dependency" `Quick
+          test_validate_self_dependency;
+        Alcotest.test_case "comm outside the sync window" `Quick
+          test_validate_comm_outside_sync;
+        Alcotest.test_case "analytic pricing" `Quick test_analytic_pricing;
       ] );
     ( "swstep.plan",
       [

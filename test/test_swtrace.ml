@@ -71,6 +71,9 @@ let test_counter_accumulation () =
 (* JSON export parse-back *)
 
 let test_json_roundtrip () =
+  (* CPE lanes exist once a core group has set the mesh geometry; do
+     not rely on an earlier suite having built one *)
+  ignore (Swarch.Core_group.create cfg);
   with_trace (fun () ->
       T.span ~cat:"kernel" ~args:[ ("flops", 12.5) ] Track.Mpe "k" ~t:1e-3
         ~dur:2e-3;
@@ -296,6 +299,259 @@ let test_ring_overflow_drops_oldest () =
       Alcotest.(check (list string)) "newest survive" [ "7"; "8"; "9"; "10" ]
         names)
 
+(* ------------------------------------------------------------------ *)
+(* Track geometry.  The CPE lane count is global state that core-group
+   creation sets, so every case restores the count it found. *)
+
+let with_cpe_tracks f =
+  let n0 = Track.cpe_tracks () in
+  Fun.protect ~finally:(fun () -> Track.set_cpe_tracks n0) (fun () -> f n0)
+
+(* counts the resize hooks that fire (hooks cannot be unregistered,
+   so the counter is registered once for the whole suite) *)
+let resizes = Atomic.make 0
+let () = Track.on_resize (fun () -> Atomic.incr resizes)
+
+let test_track_index_inverts () =
+  let n = Track.cpe_tracks () in
+  Alcotest.(check int) "MPE + CPEs + network + fault" (n + 3) (Track.count ());
+  for i = 0 to Track.count () - 1 do
+    Alcotest.(check int) (Printf.sprintf "index (of_index %d)" i) i
+      (Track.index (Track.of_index i))
+  done;
+  Alcotest.(check int) "MPE first" 0 (Track.index Track.Mpe);
+  Alcotest.(check int) "network after the CPEs" (n + 1) (Track.index Track.Net);
+  Alcotest.(check int) "fault track last" (n + 2) (Track.index Track.Fault);
+  Alcotest.(check (list string)) "lane names"
+    [ "MPE"; "CPE 03"; "network"; "fault" ]
+    (List.map Track.name [ Track.Mpe; Track.Cpe 3; Track.Net; Track.Fault ]);
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  rejects "CPE past the mesh" (fun () -> Track.index (Track.Cpe n));
+  rejects "negative CPE" (fun () -> Track.index (Track.Cpe (-1)));
+  rejects "index past the last track" (fun () -> Track.of_index (n + 3));
+  rejects "negative index" (fun () -> Track.of_index (-1))
+
+let test_track_resize_hooks () =
+  with_cpe_tracks (fun n0 ->
+      let before = Atomic.get resizes in
+      Track.set_cpe_tracks n0;
+      Alcotest.(check int) "same count: no hook" before (Atomic.get resizes);
+      Track.set_cpe_tracks (n0 + 4);
+      Alcotest.(check int) "new count: hooks run" (before + 1)
+        (Atomic.get resizes);
+      Alcotest.(check int) "count follows" (n0 + 7) (Track.count ());
+      Track.set_cpe_tracks (n0 + 4);
+      Alcotest.(check int) "repeat: no hook" (before + 1) (Atomic.get resizes);
+      Alcotest.(check bool) "zero lanes rejected" true
+        (try Track.set_cpe_tracks 0; false with Invalid_argument _ -> true);
+      Alcotest.(check int) "rejection leaves the count" (n0 + 4)
+        (Track.cpe_tracks ()))
+
+let test_track_concurrent_resize () =
+  (* several domains instantiating the same new geometry at once: the
+     check-and-resize is serialized, so the hooks run exactly once *)
+  with_cpe_tracks (fun n0 ->
+      let before = Atomic.get resizes in
+      let go = Atomic.make false in
+      let ds =
+        List.init 3 (fun _ ->
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                Track.set_cpe_tracks (n0 + 5)))
+      in
+      Atomic.set go true;
+      List.iter Domain.join ds;
+      Alcotest.(check int) "hooks ran once" (before + 1) (Atomic.get resizes);
+      Alcotest.(check int) "count installed" (n0 + 5) (Track.cpe_tracks ()))
+
+let test_resize_keeps_events () =
+  (* a geometry change moves the network and fault lanes' indices, but
+     recorded events, cursors and open spans follow their track *)
+  with_trace (fun () ->
+      with_cpe_tracks (fun n0 ->
+          T.span Track.Mpe "m" ~t:0.0 ~dur:1.0;
+          T.span (Track.Cpe 2) "c2" ~t:0.5 ~dur:1.0;
+          T.span Track.Net "net" ~t:1.0 ~dur:2.0;
+          T.advance Track.Fault 3.0;
+          T.push Track.Fault "open";
+          Track.set_cpe_tracks (n0 + 8);
+          Alcotest.(check int) "network index moved" (n0 + 9)
+            (Track.index Track.Net);
+          let tracks =
+            List.map (fun e -> (e.Event.name, Track.name e.Event.track)) (T.events ())
+          in
+          Alcotest.(check (list (pair string string))) "events kept"
+            [ ("c2", "CPE 02"); ("m", "MPE"); ("net", "network") ]
+            (List.sort compare tracks);
+          Alcotest.(check (float 0.0)) "fault cursor kept" 3.0 (T.now Track.Fault);
+          Alcotest.(check int) "open span kept" 1 (T.depth Track.Fault);
+          T.pop Track.Fault))
+
+(* ------------------------------------------------------------------ *)
+(* Chrome export: lane metadata *)
+
+let ev ?(kind = Event.Span) ?(cat = "") ?(args = []) track name ~t ~dur =
+  { Event.kind; track; name; cat; t; dur; value = 0.0; args }
+
+let test_chrome_metadata_only_for_used_tracks () =
+  let events =
+    [ ev Track.Mpe "a" ~t:0.0 ~dur:1.0; ev (Track.Cpe 5) "b" ~t:0.0 ~dur:1.0 ]
+  in
+  let doc =
+    match Json.of_string (Swtrace.Chrome.to_string events) with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "export does not parse: %s" msg
+  in
+  let entries =
+    match Json.member "traceEvents" doc with
+    | Some (Json.Arr l) -> l
+    | _ -> Alcotest.fail "missing traceEvents"
+  in
+  let meta =
+    List.filter_map
+      (fun e ->
+        match (Json.member "ph" e, Json.member "name" e) with
+        | Some (Json.Str "M"), Some (Json.Str name) ->
+            let tid =
+              match Json.member "tid" e with
+              | Some (Json.Num n) -> int_of_float n
+              | _ -> -1
+            in
+            Some (name, tid)
+        | _ -> None)
+      entries
+  in
+  let cpe5 = Track.index (Track.Cpe 5) in
+  Alcotest.(check (list (pair string int))) "process + two named lanes"
+    [
+      ("process_name", -1);
+      ("thread_name", 0);
+      ("thread_sort_index", 0);
+      ("thread_name", cpe5);
+      ("thread_sort_index", cpe5);
+    ]
+    meta;
+  Alcotest.(check int) "then the events" (List.length meta + 2)
+    (List.length entries)
+
+let test_chrome_write_file_matches_to_string () =
+  let events =
+    [
+      ev Track.Mpe "step" ~cat:"step" ~t:0.0 ~dur:2e-3;
+      ev (Track.Cpe 1) "k" ~cat:"kernel" ~args:[ ("flops", 3.0) ] ~t:1e-4 ~dur:1e-3;
+      ev ~kind:Event.Instant Track.Net "halo" ~t:5e-4 ~dur:0.0;
+    ]
+  in
+  let path = Filename.temp_file "swtrace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Swtrace.Chrome.write_file path events;
+      let ic = open_in_bin path in
+      let written =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      Alcotest.(check string) "streamed file = document"
+        (Swtrace.Chrome.to_string events)
+        written)
+
+(* ------------------------------------------------------------------ *)
+(* Text summary *)
+
+let print f =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  f ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+let line_with prefix out =
+  match
+    List.find_opt
+      (fun l ->
+        String.length l >= String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix)
+      (String.split_on_char '\n' out)
+  with
+  | Some l -> l
+  | None -> Alcotest.failf "no line starting %S in:\n%s" prefix out
+
+let test_summary_phase_shares () =
+  (* phase shares are of the summed step time, not of the phases' own
+     sum: a quarter of each step here is outside any phase *)
+  let events =
+    [
+      ev Track.Mpe "step" ~cat:"step" ~t:0.0 ~dur:2.0;
+      ev Track.Mpe "force" ~cat:"phase" ~t:0.0 ~dur:1.0;
+      ev Track.Mpe "comm" ~cat:"phase" ~t:1.0 ~dur:0.5;
+      ev Track.Mpe "step" ~cat:"step" ~t:2.0 ~dur:2.0;
+      ev Track.Mpe "force" ~cat:"phase" ~t:2.0 ~dur:1.0;
+      ev Track.Mpe "comm" ~cat:"phase" ~t:3.0 ~dur:0.5;
+    ]
+  in
+  let out = print (fun ppf -> Swtrace.Summary.phase_summary ppf events) in
+  Alcotest.(check string) "step line"
+    "steps traced: 2, 4.0000e+00 s simulated total"
+    (line_with "steps traced" out);
+  let tokens l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  Alcotest.(check (list string)) "force row"
+    [ "force"; "2"; "2.0000e+00"; "1.0000e+00"; "50.0%" ]
+    (tokens (line_with "force " out));
+  Alcotest.(check (list string)) "comm row"
+    [ "comm"; "2"; "1.0000e+00"; "5.0000e-01"; "25.0%" ]
+    (tokens (line_with "comm " out))
+
+let test_summary_empty_and_roofline () =
+  let empty =
+    print (fun ppf -> Swtrace.Summary.print ~platform:"probe (4 lanes)" ppf [])
+  in
+  List.iter
+    (fun l -> ignore (line_with l empty))
+    [ "platform: probe (4 lanes)"; "no phase spans recorded"; "no kernel spans recorded" ];
+  (* one kernel at 2 flop/B: with a 10 flop/s peak and 1 B/s of
+     bandwidth its roof is 2 flop/s, memory-bound, and it attains 1 *)
+  let k =
+    ev Track.Mpe "kernel:k" ~cat:"kernel"
+      ~args:[ ("flops", 4.0); ("dma_bytes", 2.0); ("dma_time", 1.0) ]
+      ~t:0.0 ~dur:4.0
+  in
+  let out =
+    print (fun ppf ->
+        Swtrace.Summary.roofline_summary ~peak_flops:10.0 ~peak_bw:1.0 ppf [ k ])
+  in
+  Alcotest.(check bool) "memory-bound at 50% of its roof" true
+    (List.exists
+       (fun l ->
+         let t = String.trim l in
+         t = "bound: 50.0% of memory roof (0.00 Gflop/s)")
+       (String.split_on_char '\n' out))
+
+(* ------------------------------------------------------------------ *)
+(* Ring buffer *)
+
+let test_ring_wraps_oldest_first () =
+  let r = Swtrace.Ring.create ~capacity:3 ~dummy:0 in
+  for i = 1 to 5 do
+    Swtrace.Ring.push r i
+  done;
+  Alcotest.(check int) "length" 3 (Swtrace.Ring.length r);
+  Alcotest.(check int) "dropped" 2 (Swtrace.Ring.dropped r);
+  Alcotest.(check (list int)) "to_list oldest first" [ 3; 4; 5 ]
+    (Swtrace.Ring.to_list r);
+  let seen = ref [] in
+  Swtrace.Ring.iter r (fun x -> seen := x :: !seen);
+  Alcotest.(check (list int)) "iter oldest first" [ 3; 4; 5 ] (List.rev !seen);
+  Alcotest.(check bool) "zero capacity rejected" true
+    (try ignore (Swtrace.Ring.create ~capacity:0 ~dummy:0); false
+     with Invalid_argument _ -> true)
+
 let suites =
   [
     ( "swtrace",
@@ -323,5 +579,21 @@ let suites =
           test_roofline_matches_cost;
         Alcotest.test_case "ring overflow drops oldest" `Quick
           test_ring_overflow_drops_oldest;
+        Alcotest.test_case "ring wraps oldest first" `Quick
+          test_ring_wraps_oldest_first;
+        Alcotest.test_case "track index inverts" `Quick test_track_index_inverts;
+        Alcotest.test_case "track resize hooks" `Quick test_track_resize_hooks;
+        Alcotest.test_case "concurrent resize runs hooks once" `Quick
+          test_track_concurrent_resize;
+        Alcotest.test_case "resize keeps events by track" `Quick
+          test_resize_keeps_events;
+        Alcotest.test_case "chrome metadata: used tracks only" `Quick
+          test_chrome_metadata_only_for_used_tracks;
+        Alcotest.test_case "chrome write_file = to_string" `Quick
+          test_chrome_write_file_matches_to_string;
+        Alcotest.test_case "summary: phase shares" `Quick
+          test_summary_phase_shares;
+        Alcotest.test_case "summary: empty trace and roofline" `Quick
+          test_summary_empty_and_roofline;
       ] );
   ]
