@@ -160,10 +160,7 @@ let main particles steps variant_name platform_name dt temp seed domains
        (mo.Swgmx.Engine.step.Swstep.Plan.comm_hidden *. 1e3)
    end);
   (if write_traj then begin
-     let sink = Buffer.create 4096 in
-     let w =
-       Swio.Buffered_writer.create (Swio.Buffered_writer.To_buffer sink)
-     in
+     let w = Swio.Buffered_writer.create (Buffer.create 4096) in
      let bytes =
        Swio.Trajectory.write_frame ~path:Swio.Trajectory.Fast w ~step:steps
          ~pos:st.Mdcore.Md_state.pos ~n:(3 * molecules)

@@ -98,7 +98,3 @@ let iter_neighbourhood t (p : Vec3.t) f =
       done
     done
   done
-
-(** [cells_per_point t n] is the average occupancy, a load metric used
-    by the neighbour-search cost model. *)
-let occupancy t n = float_of_int n /. float_of_int (n_cells t)

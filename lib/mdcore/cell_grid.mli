@@ -21,6 +21,3 @@ val iter_cell : t -> int -> (int -> unit) -> unit
     cells around the cell containing [p] (each point once, even in tiny
     grids where neighbourhoods alias). *)
 val iter_neighbourhood : t -> Vec3.t -> (int -> unit) -> unit
-
-(** [occupancy t n] is the average points per cell. *)
-val occupancy : t -> int -> float

@@ -16,10 +16,6 @@ let force_over_r ~c6 ~c12 r2 =
   let inv_r6 = inv_r2 *. inv_r2 *. inv_r2 in
   ((12.0 *. c12 *. inv_r6 *. inv_r6) -. (6.0 *. c6 *. inv_r6)) *. inv_r2
 
-(** [shift_energy ~c6 ~c12 ~rc] is [V(rc)], subtracted by shifted
-    potentials so the energy is continuous at the cut-off. *)
-let shift_energy ~c6 ~c12 ~rc = energy ~c6 ~c12 (rc *. rc)
-
 (** [r_min ~c6 ~c12] is the location of the potential minimum,
     [(2 C12/C6)^(1/6)]; raises if the pair has no attraction. *)
 let r_min ~c6 ~c12 =

@@ -8,10 +8,6 @@ val energy : c6:float -> c12:float -> float -> float
     multiply by the displacement vector to get the force on i. *)
 val force_over_r : c6:float -> c12:float -> float -> float
 
-(** [shift_energy ~c6 ~c12 ~rc] is [V(rc)], subtracted by shifted
-    potentials so the energy is continuous at the cut-off. *)
-val shift_energy : c6:float -> c12:float -> rc:float -> float
-
 (** [r_min ~c6 ~c12] is the location of the potential minimum; raises
     if the pair has no attraction. *)
 val r_min : c6:float -> c12:float -> float

@@ -67,9 +67,6 @@ let excluded t i j =
 (** [total_charge t] is the sum of all partial charges. *)
 let total_charge t = Array.fold_left ( +. ) 0.0 t.charge
 
-(** [total_mass t] is the system mass (amu). *)
-let total_mass t = Array.fold_left ( +. ) 0.0 t.mass
-
 (** [degrees_of_freedom t] is [3N - n_constraints - 3] (centre of mass
     motion removed), used to convert kinetic energy to temperature. *)
 let degrees_of_freedom t =

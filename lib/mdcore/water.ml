@@ -81,7 +81,3 @@ let build ?(temp = 300.0) ~molecules ~seed () =
    with Exit -> ());
   Md_state.thermalize state rng temp;
   state
-
-(** [atoms_for ~particles] is the molecule count whose atom count is
-    closest to [particles] (3 atoms per water). *)
-let molecules_for ~particles = max 1 (particles / 3)

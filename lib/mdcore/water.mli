@@ -12,7 +12,3 @@ val box_edge : int -> float
 (** [build ?temp ~molecules ~seed ()] is a thermalized water box of
     [molecules] rigid SPC/E waters (default 300 K). *)
 val build : ?temp:float -> molecules:int -> seed:int -> unit -> Md_state.t
-
-(** [molecules_for ~particles] is the molecule count whose atom count
-    is closest to [particles] (3 atoms per water). *)
-val molecules_for : particles:int -> int

@@ -223,7 +223,7 @@ let water_box ~dt ~temp ~molecules ~seed =
   let config =
     {
       dt;
-      nstlist = 10;
+      nstlist = default_config.nstlist;
       rlist = rcut;
       nb = { Nonbonded.rcut; elec = Nonbonded.Ewald_real beta };
       pme_grid = Some 32;

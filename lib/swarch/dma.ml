@@ -77,11 +77,6 @@ let get ?aligned cfg cost ~bytes = transfer Read ?aligned cfg cost ~bytes
     main memory to [cost].  Reads and writes share the bus model. *)
 let put ?aligned cfg cost ~bytes = transfer Write ?aligned cfg cost ~bytes
 
-(** [effective_bandwidth cost] is the average bandwidth achieved by the
-    transfers recorded in [cost], or [0.] if none were issued. *)
-let effective_bandwidth (cost : Cost.t) =
-  if cost.dma_time_s <= 0.0 then 0.0 else cost.dma_bytes /. cost.dma_time_s
-
 (** [table cfg sizes] tabulates the modelled bandwidth (bytes/s) at each
     size in [sizes]; used to regenerate Table 2. *)
 let table cfg sizes = List.map (fun s -> (s, bandwidth cfg s)) sizes

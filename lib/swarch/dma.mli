@@ -42,10 +42,6 @@ val get : ?aligned:bool -> Config.t -> Cost.t -> bytes:int -> unit
     main memory to [cost].  Reads and writes share the bus model. *)
 val put : ?aligned:bool -> Config.t -> Cost.t -> bytes:int -> unit
 
-(** [effective_bandwidth cost] is the average bandwidth achieved by the
-    transfers recorded in [cost], or [0.] if none were issued. *)
-val effective_bandwidth : Cost.t -> float
-
 (** [table cfg sizes] tabulates the modelled bandwidth at each size;
     used to regenerate Table 2. *)
 val table : Config.t -> int list -> (int * float) list

@@ -32,7 +32,8 @@ let shrink_size ~quick n = if quick then max 3000 (n / 8) else n
 let table3 =
   [
     ("particles number", "0.9K ~ 3,000K");
-    ("nstlist", "10");
+    ( "nstlist",
+      string_of_int Mdcore.Workflow.default_config.Mdcore.Workflow.nstlist );
     ("ns_type", "grid");
     ("coulombtype", "PME");
     ("rlist", "1.0");

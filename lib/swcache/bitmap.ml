@@ -55,10 +55,3 @@ let iter_marked t f =
   for i = 0 to t.n_bits - 1 do
     if is_marked t i then f i
   done
-
-(** [storage_bytes t] is the LDM footprint of the map. *)
-let storage_bytes t = Array.length t.words * 8
-
-(** [marked_ratio t] is the fraction of set bits, or [0.] when empty. *)
-let marked_ratio t =
-  if t.n_bits = 0 then 0.0 else float_of_int (count t) /. float_of_int t.n_bits

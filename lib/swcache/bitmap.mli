@@ -33,9 +33,3 @@ val count : t -> int
 
 (** [iter_marked t f] calls [f i] for every set bit [i], ascending. *)
 val iter_marked : t -> (int -> unit) -> unit
-
-(** [storage_bytes t] is the LDM footprint of the map. *)
-val storage_bytes : t -> int
-
-(** [marked_ratio t] is the fraction of set bits, or [0.] when empty. *)
-val marked_ratio : t -> float

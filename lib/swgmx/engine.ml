@@ -134,6 +134,13 @@ let rows m = m.step.Swstep.Plan.rows
 (** [row m label] is one Table 1 row (0 when absent). *)
 let row m label = Swstep.Plan.row m.step label
 
+(** Neighbour-list refresh interval of the priced step: Table 3's
+    nstlist, from {!Mdcore.Workflow.default_config}. *)
+let nstlist = Md.Workflow.default_config.Md.Workflow.nstlist
+
+(** Trajectory-output interval of the priced step, in steps. *)
+let steps_per_frame = 100
+
 (** [phases_of_features f ...] builds the declarative step graph for
     one optimization level: each Table-1 row becomes one or more
     phases whose executor picks the level's code path, and whose
@@ -143,8 +150,7 @@ let row m label = Swstep.Plan.row m.step label
     waits).  Cross-phase data (pair list, kernel outcome) flows
     through the [Simulated] closures in declaration order. *)
 let phases_of_features (cfg : Swarch.Config.t) f ~sys ~n ~box ~rcut ~total_atoms
-    ~n_cg ~nstlist ~steps_per_frame ~pipelined ~faults ~pairs ~ns_stats ~outcome
-    =
+    ~n_cg ~pipelined ~faults ~pairs ~ns_stats ~outcome =
   let module P = Swstep.Phase in
   let module T = Swtrace.Trace in
   let nsearch_exec cg =
@@ -236,24 +242,23 @@ let phases_of_features (cfg : Swarch.Config.t) f ~sys ~n ~box ~rcut ~total_atoms
     P.v "rest" ~row:"Rest" (P.Mpe_analytic (P.per_atom ~flops:1.0 ~bytes:8.0 n));
   ]
 
-(** [measure ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ~version
-    ~total_atoms ~n_cg ()] prices one MD step of the water benchmark
-    at the given optimization level: [total_atoms] split over [n_cg]
-    core groups (the per-CG slice is simulated in full; communication
-    is modelled analytically).  [steps_per_frame] is the
-    trajectory-output interval (Table 1 measures runs that write
-    output).  [pipelined] runs the short-range kernel through the
-    swsched double-buffer pipeline (see {!Kernel.run}).  [plan]
-    selects the swstep schedule: [Serial] (default) reproduces the
-    paper's measured profile; [Overlap] hides communication behind
-    independent compute the way the RDMA port does.  [faults] prices
-    the step over a degraded machine: dead CPEs re-striped, slow CPEs
-    stretching the critical path, degraded links inflating the halo
-    (with the zero plan, every output is bit-identical to no
-    injector at all). *)
-let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
-    ?(nstlist = 10) ?(pipelined = false) ?(plan = Swstep.Plan.Serial) ?faults
-    ~version ~total_atoms ~n_cg () =
+(** [measure ?cfg ?pipelined ?plan ~version ~total_atoms ~n_cg ()]
+    prices one MD step of the water benchmark at the given
+    optimization level: [total_atoms] split over [n_cg] core groups
+    (the per-CG slice is simulated in full; communication is modelled
+    analytically).  Neighbour search is amortized over {!nstlist}
+    steps and trajectory output over {!steps_per_frame} (Table 1
+    measures runs that write output).  [pipelined] runs the
+    short-range kernel through the swsched double-buffer pipeline
+    (see {!Kernel.run}).  [plan] selects the swstep schedule:
+    [Serial] (default) reproduces the paper's measured profile;
+    [Overlap] hides communication behind independent compute the way
+    the RDMA port does.  [faults] prices the step over a degraded
+    machine: dead CPEs re-striped, slow CPEs stretching the critical
+    path, degraded links inflating the halo (with the zero plan,
+    every output is bit-identical to no injector at all). *)
+let measure ?(cfg = Swarch.Config.default) ?(pipelined = false)
+    ?(plan = Swstep.Plan.Serial) ?faults ~version ~total_atoms ~n_cg () =
   if n_cg < 1 then invalid_arg "Engine.measure: n_cg must be positive";
   (* the boundary check: a nonsensical machine description fails fast
      here instead of producing nonsense times downstream *)
@@ -296,8 +301,8 @@ let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
         (Swfault.Injector.dead inj));
   let pairs = ref None and ns_stats = ref None and outcome = ref None in
   let phases =
-    phases_of_features cfg f ~sys ~n ~box ~rcut ~total_atoms ~n_cg ~nstlist
-      ~steps_per_frame ~pipelined ~faults ~pairs ~ns_stats ~outcome
+    phases_of_features cfg f ~sys ~n ~box ~rcut ~total_atoms ~n_cg ~pipelined
+      ~faults ~pairs ~ns_stats ~outcome
   in
   let step =
     Swstep.Phase.make ~label:(version_name version) ~rows:table1_rows phases
@@ -325,25 +330,24 @@ let measure ?(cfg = Swarch.Config.default) ?(steps_per_frame = 100)
     nsearch_miss;
   }
 
-(** [trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan
-    ?faults ~version ~total_atoms ~n_cg ~steps ()] calls {!measure}
-    [steps] times with the recorder running: each call builds the same
-    fresh system and prices its first step again, and the copies are
-    laid end to end on the trace clock (phases on the MPE track, kernel
-    detail on the CPE tracks, communication on the network track).
+(** [trace_steps ?cfg ?pipelined ?plan ?faults ~version ~total_atoms
+    ~n_cg ~steps ()] calls {!measure} [steps] times with the recorder
+    running: each call builds the same fresh system and prices its
+    first step again, and the copies are laid end to end on the trace
+    clock (phases on the MPE track, kernel detail on the CPE tracks,
+    communication on the network track).
     They are copies of one step, not consecutive MD steps: no position
     moves between them.  Returns the last copy's measurement; call
     {!Swtrace.Trace.enable} first or the run degenerates to plain
     repeated {!measure}. *)
-let trace_steps ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults ~version
-    ~total_atoms ~n_cg ~steps () =
+let trace_steps ?cfg ?pipelined ?plan ?faults ~version ~total_atoms ~n_cg ~steps
+    () =
   if steps < 1 then invalid_arg "Engine.trace_steps: steps must be positive";
   let last = ref None in
   for _ = 1 to steps do
     last :=
       Some
-        (measure ?cfg ?steps_per_frame ?nstlist ?pipelined ?plan ?faults
-           ~version ~total_atoms ~n_cg ())
+        (measure ?cfg ?pipelined ?plan ?faults ~version ~total_atoms ~n_cg ())
   done;
   Option.get !last
 

@@ -48,10 +48,6 @@ let spec_of_variant = function
   | Variant.Ustc -> { cached_read = true; write = Mpe_collect; vector = false }
   | Variant.Ori -> invalid_arg "Kernel_cpe: Ori runs on the MPE"
 
-(** [needs_full_list spec] is [true] for the redundant-computation
-    baseline, whose pair list must contain both directions. *)
-let needs_full_list spec = spec.write = Owner_only
-
 type stats = {
   read_stats : Swcache.Stats.t option;  (** aggregated read-cache stats *)
   write_stats : Swcache.Stats.t option;  (** aggregated write-cache stats *)

@@ -19,57 +19,60 @@ let bytes_per_visit = 64.0
     plus the force read-modify-write. *)
 let bytes_per_hit = 96.0
 
-let mi d l = d -. (l *. Float.round (d /. l))
+let[@inline] mi d l = d -. (l *. Float.round (d /. l))
 
 (** [run sys pairs cg] executes the kernel on the MPE and returns the
-    result (forces in cluster order, energies, pair count). *)
+    result (forces in cluster order, energies, pair count).  The pair
+    loop reads the AoS package floats directly and passes no float
+    across a call, like {!Kernel_cpe}'s scalar path (docs/ALLOC.md). *)
 let run sys (pairs : Pair_list.t) (cg : Swarch.Core_group.t) =
   let res = K.empty_result sys in
+  let force = res.K.force in
   let pout = K.fresh_pair_out () in
   let mpe = cg.Swarch.Core_group.mpe in
   let box = sys.K.box in
+  let lx = box.K.Box.lx and ly = box.K.Box.ly and lz = box.K.Box.lz in
   let rcut2 = sys.K.params.K.Nonbonded.rcut *. sys.K.params.K.Nonbonded.rcut in
-  let layout = Package.Aos in
+  let flops_hit = K.flops_interaction sys in
   let buf = sys.K.pkg_aos in
+  let fpp = Package.floats_per_particle in
   Pair_list.iter_pairs pairs (fun ci cj ->
       let ni = Cluster.count sys.K.cl ci and nj = Cluster.count sys.K.cl cj in
       let mask = K.excl_mask sys ci cj in
       let ioff = ci * Package.floats and joff = cj * Package.floats in
       for mi_ = 0 to ni - 1 do
+        let ia = ioff + (mi_ * fpp) in
         let mj_start = if ci = cj then mi_ + 1 else 0 in
         for mj = mj_start to nj - 1 do
           if mask land (1 lsl ((4 * mi_) + mj)) = 0 then begin
             Swarch.Mpe.charge_flops mpe K.flops_distance;
             Swarch.Mpe.charge_mem mpe bytes_per_visit;
-            let dx = mi (Package.x ~layout buf ioff mi_ -. Package.x ~layout buf joff mj) box.K.Box.lx
-            and dy = mi (Package.y ~layout buf ioff mi_ -. Package.y ~layout buf joff mj) box.K.Box.ly
-            and dz = mi (Package.z ~layout buf ioff mi_ -. Package.z ~layout buf joff mj) box.K.Box.lz in
+            let ja = joff + (mj * fpp) in
+            let dx = mi (buf.(ia) -. buf.(ja)) lx
+            and dy = mi (buf.(ia + 1) -. buf.(ja + 1)) ly
+            and dz = mi (buf.(ia + 2) -. buf.(ja + 2)) lz in
             let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
             if r2 <= rcut2 && r2 > 0.0 then begin
-              Swarch.Mpe.charge_flops mpe (K.flops_interaction sys);
+              Swarch.Mpe.charge_flops mpe flops_hit;
               Swarch.Mpe.charge_mem mpe bytes_per_hit;
-              let qq =
-                Package.charge ~layout buf ioff mi_ *. Package.charge ~layout buf joff mj
-              in
-              let ti = Package.ptype ~layout buf ioff mi_
-              and tj = Package.ptype ~layout buf joff mj in
               pout.K.p_r2.(0) <- r2;
-              pout.K.p_qq.(0) <- qq;
-              K.pair_interaction_into sys ~ti ~tj pout;
+              pout.K.p_qq.(0) <- buf.(ia + 3) *. buf.(ja + 3);
+              K.pair_interaction_into sys
+                ~ti:(int_of_float buf.(ia + 4))
+                ~tj:(int_of_float buf.(ja + 4))
+                pout;
               let f = pout.K.p_f.(0) in
               res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. pout.K.p_e_lj.(0);
               res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. pout.K.p_e_coul.(0);
               res.K.pairs_in_cutoff <- res.K.pairs_in_cutoff + 1;
-              let add slot d v =
-                res.K.force.((3 * slot) + d) <- res.K.force.((3 * slot) + d) +. v
-              in
-              let si = (ci * Cluster.size) + mi_ and sj = (cj * Cluster.size) + mj in
-              add si 0 (f *. dx);
-              add si 1 (f *. dy);
-              add si 2 (f *. dz);
-              add sj 0 (-.f *. dx);
-              add sj 1 (-.f *. dy);
-              add sj 2 (-.f *. dz)
+              let si = 3 * ((ci * Cluster.size) + mi_)
+              and sj = 3 * ((cj * Cluster.size) + mj) in
+              force.(si) <- force.(si) +. (f *. dx);
+              force.(si + 1) <- force.(si + 1) +. (f *. dy);
+              force.(si + 2) <- force.(si + 2) +. (f *. dz);
+              force.(sj) <- force.(sj) +. (-.f *. dx);
+              force.(sj + 1) <- force.(sj + 1) +. (-.f *. dy);
+              force.(sj + 2) <- force.(sj + 2) +. (-.f *. dz)
             end
           end
         done

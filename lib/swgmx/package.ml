@@ -82,9 +82,3 @@ let charge ~layout buf off m =
   match layout with
   | Aos -> buf.(off + aos_base m + 3)
   | Soa -> buf.(off + soa_base 3 m)
-
-let ptype ~layout buf off m =
-  int_of_float
-    (match layout with
-    | Aos -> buf.(off + aos_base m + 4)
-    | Soa -> buf.(off + soa_base 4 m))

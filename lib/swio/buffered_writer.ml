@@ -5,12 +5,10 @@
     large [write] calls.  The writer counts flushes so tests and the
     I/O cost model can observe the syscall reduction. *)
 
-type sink = Discard | To_buffer of Buffer.t | To_channel of out_channel
-
 type t = {
   buf : Bytes.t;
   mutable fill : int;
-  sink : sink;
+  sink : Buffer.t;
   mutable flushes : int;  (** simulated write(2) calls issued *)
   mutable bytes_written : int;  (** total payload bytes *)
 }
@@ -26,10 +24,7 @@ let create ?(capacity = default_capacity) sink =
 (** [flush t] pushes buffered bytes to the sink (one "write call"). *)
 let flush t =
   if t.fill > 0 then begin
-    (match t.sink with
-    | Discard -> ()
-    | To_buffer b -> Buffer.add_subbytes b t.buf 0 t.fill
-    | To_channel oc -> output_bytes oc (Bytes.sub t.buf 0 t.fill));
+    Buffer.add_subbytes t.sink t.buf 0 t.fill;
     t.flushes <- t.flushes + 1;
     t.fill <- 0
   end
@@ -38,10 +33,7 @@ let flush t =
 let write_bytes t src len =
   if len > Bytes.length t.buf then begin
     flush t;
-    (match t.sink with
-    | Discard -> ()
-    | To_buffer b -> Buffer.add_subbytes b src 0 len
-    | To_channel oc -> output_bytes oc (Bytes.sub src 0 len));
+    Buffer.add_subbytes t.sink src 0 len;
     t.flushes <- t.flushes + 1;
     t.bytes_written <- t.bytes_written + len
   end

@@ -5,15 +5,13 @@
     large [write] calls.  The writer counts flushes so tests and the
     I/O cost model can observe the syscall reduction. *)
 
-type sink = Discard | To_buffer of Buffer.t | To_channel of out_channel
-
 type t
 
 (** The paper's buffer size: 20 MB. *)
 val default_capacity : int
 
 (** [create ?capacity sink] is an empty writer flushing to [sink]. *)
-val create : ?capacity:int -> sink -> t
+val create : ?capacity:int -> Buffer.t -> t
 
 (** [flush t] pushes buffered bytes to the sink (one "write call"). *)
 val flush : t -> unit

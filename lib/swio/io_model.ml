@@ -1,13 +1,14 @@
 (** Simulated-time cost model for trajectory output on the MPE.
 
-    The constants are calibrated from the real code paths in this
-    library (measured with the bench harness): the standard
-    [fprintf]+[fwrite] path costs roughly an order of magnitude more
-    per particle than the specialized formatter with the 20 MB buffer.
-    The paper reports I/O falling from ~30% of large-run time to a
-    small residual, which these constants reproduce. *)
+    The constants follow the paper, not a host measurement: the
+    standard [fprintf]+[fwrite] path costs roughly an order of
+    magnitude more per particle than the specialized formatter with
+    the 20 MB buffer, and I/O falls from ~30% of large-run time to a
+    small residual, which these constants reproduce.  The two real
+    code paths in this library differ by far less on an x86 host:
+    about 1.5x per float (EXPERIMENTS.md, Section 3.7). *)
 
-type path = Standard | Fast
+type path = Trajectory.path = Standard | Fast
 
 (** Seconds of MPE time to format and stage one particle (three
     fixed-point floats) on each path. *)

@@ -10,5 +10,4 @@ module Fast_format = Fast_format
 module Buffered_writer = Buffered_writer
 module Trajectory = Trajectory
 module Io_model = Io_model
-module Xtc = Xtc
 module Checkpoint = Checkpoint

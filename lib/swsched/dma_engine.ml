@@ -101,9 +101,6 @@ let create ?channels ?(slots = 4) ?faults
     retries = 0;
   }
 
-(** [in_flight t] is the number of transfers currently in service. *)
-let in_flight t = List.length t.active
-
 let rate t k = if k = 0 then 0.0 else Float.min 1.0 (t.channels /. float_of_int k)
 
 (* progress every in-service transfer to the current instant *)

@@ -30,9 +30,6 @@ val create :
     shared bus has served the demand. *)
 val issue : t -> bytes:int -> demand:float -> on_complete:(float -> unit) -> unit
 
-(** [in_flight t] is the number of transfers currently in service. *)
-val in_flight : t -> int
-
 (** Total transfers issued. *)
 val requests : t -> int
 

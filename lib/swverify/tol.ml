@@ -16,11 +16,6 @@ let rel_abs ~rel ~abs =
 
 let drift rel = rel_abs ~rel ~abs:rel
 
-let class_name = function
-  | Exact_bits -> "exact-bits"
-  | Ulp _ -> "ulp-budget"
-  | Rel_abs _ -> "physical-drift"
-
 let to_string = function
   | Exact_bits -> "exact-bits"
   | Ulp n -> Printf.sprintf "ulp<=%d" n

@@ -43,10 +43,6 @@ val rel_abs : rel:float -> abs:float -> t
     [|a - b| <= eps * max 1 |a|] tests translate to this class. *)
 val drift : float -> t
 
-(** [class_name t] is the documentation name of the class
-    (["exact-bits"], ["ulp-budget"], ["physical-drift"]). *)
-val class_name : t -> string
-
 val to_string : t -> string
 
 (** [close t a b] decides the comparison. *)

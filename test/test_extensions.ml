@@ -1,6 +1,6 @@
 (* Tests for the extended substrate: Berendsen coupling, SHAKE,
    leapfrog, Coulomb pair gradients, the Workflow step stages and the
-   Fig-13 set-up, XTC compression, checkpoints. *)
+   Fig-13 set-up, checkpoints. *)
 
 open Mdcore
 
@@ -338,51 +338,6 @@ let test_equilibrate_needs_thermostat () =
   same_bits "pos untouched" pos st.Md_state.pos
 
 (* ------------------------------------------------------------------ *)
-(* Xtc *)
-
-let test_xtc_roundtrip () =
-  let rng = Rng.create 31 in
-  let n = 100 in
-  let pos = Fbuf.init (3 * n) (fun _ -> Rng.uniform rng (-10.0) 10.0) in
-  let f = Swio.Xtc.encode ~step:42 ~precision:1000.0 pos ~n in
-  let back = Swio.Xtc.decode f in
-  Array.iteri
-    (fun i x ->
-      if Float.abs (x -. Fbuf.get pos i) > 0.0005 +. 1e-12 then
-        Alcotest.failf "coord %d off by %g" i (Float.abs (x -. Fbuf.get pos i)))
-    back
-
-let test_xtc_size_saving () =
-  let n = 1000 in
-  let pos = Fbuf.init (3 * n) (fun _ -> 1.234) in
-  let f = Swio.Xtc.encode ~step:0 ~precision:1000.0 pos ~n in
-  (* 12 bytes/atom vs 24 bytes/atom for raw doubles *)
-  Alcotest.(check int) "12 bytes per atom + header" (16 + (12 * n)) (Swio.Xtc.bytes f)
-
-let test_xtc_stream_roundtrip () =
-  let rng = Rng.create 37 in
-  let n = 50 in
-  let mk step = Swio.Xtc.encode ~step ~precision:1000.0
-      (Fbuf.init (3 * n) (fun _ -> Rng.uniform rng (-5.0) 5.0)) ~n in
-  let frames = [ mk 0; mk 10; mk 20 ] in
-  let sink = Buffer.create 4096 in
-  let w = Swio.Buffered_writer.create (Swio.Buffered_writer.To_buffer sink) in
-  List.iter (Swio.Xtc.write w) frames;
-  Swio.Buffered_writer.flush w;
-  let parsed = Swio.Xtc.read_all (Buffer.contents sink) in
-  Alcotest.(check int) "three frames" 3 (List.length parsed);
-  List.iter2
-    (fun (a : Swio.Xtc.frame) (b : Swio.Xtc.frame) ->
-      Alcotest.(check int) "step" a.Swio.Xtc.step b.Swio.Xtc.step;
-      Alcotest.(check bool) "payload" true (a.Swio.Xtc.payload = b.Swio.Xtc.payload))
-    frames parsed
-
-let test_xtc_truncated_rejected () =
-  Alcotest.(check bool) "truncated stream rejected" true
-    (try ignore (Swio.Xtc.read_all "short"); false
-     with Invalid_argument _ -> true)
-
-(* ------------------------------------------------------------------ *)
 (* Checkpoint *)
 
 let test_checkpoint_roundtrip_bitexact () =
@@ -483,13 +438,6 @@ let suites =
         Alcotest.test_case "pair list follows nstlist" `Quick test_pair_list_follows_nstlist;
         Alcotest.test_case "water_box is the Fig-13 set-up" `Quick test_water_box_is_fig13_setup;
         Alcotest.test_case "equilibrate needs a thermostat" `Quick test_equilibrate_needs_thermostat;
-      ] );
-    ( "ext.xtc",
-      [
-        Alcotest.test_case "roundtrip within precision" `Quick test_xtc_roundtrip;
-        Alcotest.test_case "size saving" `Quick test_xtc_size_saving;
-        Alcotest.test_case "stream roundtrip" `Quick test_xtc_stream_roundtrip;
-        Alcotest.test_case "truncated rejected" `Quick test_xtc_truncated_rejected;
       ] );
     ( "ext.checkpoint",
       [
