@@ -122,6 +122,46 @@ let test_measurement_total_consistent () =
   Alcotest.(check bool) "rows sum to total" true
     (Float.abs (s -. m.Engine.step_time) < 1e-12)
 
+(* The amortized Table 1 rows: one neighbour search per
+   [Engine.nstlist] steps (Table 3's cadence, from Workflow) and one
+   trajectory frame per [Engine.steps_per_frame] steps. *)
+
+let test_nsearch_row_per_nstlist () =
+  Alcotest.(check int) "Table 3's nstlist"
+    Md.Workflow.default_config.Md.Workflow.nstlist Engine.nstlist;
+  let m = Engine.measure ~version:Engine.V_list ~total_atoms:600 ~n_cg:1 () in
+  (* the per-CG system [measure] prices: seed-2019 water, Ewald real
+     space, cut-off clipped to the box *)
+  let st = Md.Water.build ~molecules:(m.Engine.atoms_per_cg / 3) ~seed:2019 () in
+  let n = Md.Md_state.n_atoms st in
+  let box = st.Md.Md_state.box in
+  let rcut = Float.min 1.0 (0.45 *. Md.Box.min_edge box) in
+  let beta = Md.Coulomb.ewald_beta ~rc:rcut ~tolerance:1e-5 in
+  let params = { Md.Nonbonded.rcut; elec = Md.Nonbonded.Ewald_real beta } in
+  let cl = Md.Cluster.build box st.Md.Md_state.pos n in
+  let sys =
+    K.make cfg ~box ~params ~cl ~topo:st.Md.Md_state.topo ~ff:st.Md.Md_state.ff
+      ~pos:st.Md.Md_state.pos
+  in
+  let cg = Swarch.Core_group.create cfg in
+  ignore (Nsearch_cpe.run sys cg ~kind:Nsearch_cpe.Two_way ~rlist:rcut);
+  Alcotest.(check (float 0.0)) "one CPE search over nstlist steps"
+    (Swarch.Core_group.elapsed cg /. float_of_int Engine.nstlist)
+    (Engine.row m "Neighbor search")
+
+let test_write_traj_row_per_frame () =
+  (* Io_model prices the Trajectory path type: V_list writes through
+     fprintf, V_other through the fast formatter and 20 MB buffer *)
+  List.iter
+    (fun (version, path) ->
+      let m = Engine.measure ~version ~total_atoms:600 ~n_cg:1 () in
+      Alcotest.(check (float 0.0))
+        (Engine.version_name version ^ " one frame over steps_per_frame")
+        (Swio.Io_model.frame_time ~path ~n_atoms:m.Engine.atoms_per_cg
+        /. float_of_int Engine.steps_per_frame)
+        (Engine.row m "Write traj."))
+    [ (Engine.V_list, Swio.Trajectory.Standard); (Engine.V_other, Swio.Trajectory.Fast) ]
+
 (* ------------------------------------------------------------------ *)
 (* Engine.simulate (the Fig 13 machinery, shortened) *)
 
@@ -172,5 +212,9 @@ let suites =
         Alcotest.test_case "rows sum to step time" `Quick test_measurement_total_consistent;
         Alcotest.test_case "simulate stays physical" `Slow test_simulate_tracks_reference;
         Alcotest.test_case "simulate deterministic" `Quick test_simulate_deterministic;
+        Alcotest.test_case "Neighbor search: one pass per nstlist" `Quick
+          test_nsearch_row_per_nstlist;
+        Alcotest.test_case "Write traj.: one frame per steps_per_frame" `Quick
+          test_write_traj_row_per_frame;
       ] );
   ]

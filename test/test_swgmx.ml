@@ -86,6 +86,93 @@ let test_variant_matches_reference_ewald variant () =
     ref_e.Md.Energy.coulomb_sr (K.e_coul outcome.Kernel.result)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel_ori: the MPE loop reads the AoS package at raw offsets *)
+
+(* The Ori pair loop written through the layout-generic Package
+   accessors, with types from the topology: the same floats and the
+   same operations in the kernel's visiting order, so the kernel must
+   match it bit for bit.  Also returns the number of pairs visited
+   (passed the exclusion mask). *)
+let ori_oracle sys (pairs : Md.Pair_list.t) =
+  let res = K.empty_result sys in
+  let pout = K.fresh_pair_out () in
+  let layout = Package.Aos and buf = sys.K.pkg_aos in
+  let box = sys.K.box in
+  let rcut = sys.K.params.Md.Nonbonded.rcut in
+  let mi d l = d -. (l *. Float.round (d /. l)) in
+  let type_of c m = sys.K.topo.Md.Topology.type_of.(Md.Cluster.atom sys.K.cl c m) in
+  let visits = ref 0 in
+  Md.Pair_list.iter_pairs pairs (fun ci cj ->
+      let mask = K.excl_mask sys ci cj in
+      let ioff = ci * Package.floats and joff = cj * Package.floats in
+      for a = 0 to Md.Cluster.count sys.K.cl ci - 1 do
+        for b = (if ci = cj then a + 1 else 0) to Md.Cluster.count sys.K.cl cj - 1 do
+          if mask land (1 lsl ((4 * a) + b)) = 0 then begin
+            incr visits;
+            let d field l = mi (field ~layout buf ioff a -. field ~layout buf joff b) l in
+            let dx = d Package.x box.Md.Box.lx
+            and dy = d Package.y box.Md.Box.ly
+            and dz = d Package.z box.Md.Box.lz in
+            let r2 = (dx *. dx) +. (dy *. dy) +. (dz *. dz) in
+            if r2 <= rcut *. rcut && r2 > 0.0 then begin
+              pout.K.p_r2.(0) <- r2;
+              pout.K.p_qq.(0) <-
+                Package.charge ~layout buf ioff a *. Package.charge ~layout buf joff b;
+              K.pair_interaction_into sys ~ti:(type_of ci a) ~tj:(type_of cj b) pout;
+              let f = pout.K.p_f.(0) in
+              res.K.acc.K.e_lj <- res.K.acc.K.e_lj +. pout.K.p_e_lj.(0);
+              res.K.acc.K.e_coul <- res.K.acc.K.e_coul +. pout.K.p_e_coul.(0);
+              res.K.pairs_in_cutoff <- res.K.pairs_in_cutoff + 1;
+              let add slot dv =
+                let s = 3 * slot in
+                List.iteri (fun k v -> res.K.force.(s + k) <- res.K.force.(s + k) +. v) dv
+              in
+              add ((ci * Md.Cluster.size) + a) [ f *. dx; f *. dy; f *. dz ];
+              add ((cj * Md.Cluster.size) + b) [ -.f *. dx; -.f *. dy; -.f *. dz ]
+            end
+          end
+        done
+      done);
+  (res, !visits)
+
+let same_bits what a b =
+  if Int64.bits_of_float a <> Int64.bits_of_float b then
+    Alcotest.failf "%s: %h <> %h" what a b
+
+let test_ori_matches_accessor_oracle elec () =
+  let _, sys, pairs = setup ~molecules:60 ~seed:41 ~elec () in
+  let want, _ = ori_oracle sys pairs in
+  let got = Kernel_ori.run sys pairs (Swarch.Core_group.create cfg) in
+  Alcotest.(check int) "pairs in cut-off" want.K.pairs_in_cutoff got.K.pairs_in_cutoff;
+  same_bits "e_lj" want.K.acc.K.e_lj got.K.acc.K.e_lj;
+  same_bits "e_coul" want.K.acc.K.e_coul got.K.acc.K.e_coul;
+  Alcotest.(check int) "force length" (Array.length want.K.force) (Array.length got.K.force);
+  Array.iteri (fun i w -> same_bits (Printf.sprintf "force.(%d)" i) w got.K.force.(i)) want.K.force
+
+let test_ori_mpe_charges () =
+  (* every visited pair pays the distance test and a scattered read;
+     every in-range pair also pays the interaction (whose flop count
+     depends on the electrostatics) and the force read-modify-write *)
+  let beta = Md.Coulomb.ewald_beta ~rc:0.48 ~tolerance:1e-4 in
+  List.iter
+    (fun (name, elec) ->
+      let _, sys, pairs = setup ~molecules:60 ~seed:43 ~elec () in
+      let want, visits = ori_oracle sys pairs in
+      let hits = float_of_int want.K.pairs_in_cutoff and visits = float_of_int visits in
+      let cg = Swarch.Core_group.create cfg in
+      ignore (Kernel_ori.run sys pairs cg);
+      let c = cg.Swarch.Core_group.mpe.Swarch.Mpe.cost in
+      Alcotest.(check (float 0.0)) (name ^ " MPE flops")
+        ((visits *. K.flops_distance) +. (hits *. K.flops_interaction sys))
+        c.Swarch.Cost.mpe_flops;
+      Alcotest.(check (float 0.0)) (name ^ " MPE bytes")
+        ((visits *. Kernel_ori.bytes_per_visit) +. (hits *. Kernel_ori.bytes_per_hit))
+        c.Swarch.Cost.mpe_mem_bytes;
+      Alcotest.(check (float 0.0)) (name ^ " no CPE work") 0.0
+        (Swarch.Core_group.total_cost cg).Swarch.Cost.scalar_flops)
+    [ ("RF", Md.Nonbonded.Reaction_field); ("Ewald", Md.Nonbonded.Ewald_real beta) ]
+
+(* ------------------------------------------------------------------ *)
 (* Package *)
 
 let test_package_layouts_agree () =
@@ -288,6 +375,15 @@ let suites =
         Alcotest.test_case "exclusion masks complete" `Quick test_excl_mask_symmetry;
       ] );
     ("swgmx.correctness", variant_cases @ ewald_cases);
+    ( "swgmx.ori",
+      [
+        Alcotest.test_case "bit-identical to the accessor loop" `Quick
+          (test_ori_matches_accessor_oracle Md.Nonbonded.Reaction_field);
+        Alcotest.test_case "bit-identical to the accessor loop (Ewald)" `Quick
+          (test_ori_matches_accessor_oracle
+             (Md.Nonbonded.Ewald_real (Md.Coulomb.ewald_beta ~rc:0.48 ~tolerance:1e-4)));
+        Alcotest.test_case "MPE charges per visit and per hit" `Quick test_ori_mpe_charges;
+      ] );
     ( "swgmx.cost_model",
       [
         Alcotest.test_case "Fig 8 ordering" `Slow test_fig8_ordering;
