@@ -31,10 +31,3 @@ let potential t = t.lj +. t.coulomb_sr +. t.coulomb_recip +. t.bonded
 
 (** [total t] is potential plus kinetic. *)
 let total t = potential t +. t.kinetic
-
-(** Pretty-printer listing every term. *)
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>LJ %.4f  Coul-SR %.4f  Coul-recip %.4f  bonded %.4f  kinetic %.4f  \
-     total %.4f kJ/mol@]"
-    t.lj t.coulomb_sr t.coulomb_recip t.bonded t.kinetic (total t)

@@ -19,6 +19,3 @@ val potential : t -> float
 
 (** [total t] is potential plus kinetic. *)
 val total : t -> float
-
-(** Pretty-printer listing every term. *)
-val pp : Format.formatter -> t -> unit

@@ -27,15 +27,7 @@ let float t =
 (** [uniform t lo hi] is uniform in [[lo, hi)]. *)
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)
 
-(** [int t n] is uniform in [[0, n)]. *)
-let int t n =
-  if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (next_int64 t) 1) (Int64.of_int n))
-
 (** [gaussian t] is a standard normal sample (Box-Muller). *)
 let gaussian t =
   let u1 = Float.max 1e-12 (float t) and u2 = float t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
-(** [split t] is an independently-seeded child generator. *)
-let split t = { state = next_int64 t }

@@ -17,11 +17,5 @@ val float : t -> float
 (** [uniform t lo hi] is uniform in [[lo, hi)]. *)
 val uniform : t -> float -> float -> float
 
-(** [int t n] is uniform in [[0, n)]. *)
-val int : t -> int -> int
-
 (** [gaussian t] is a standard normal sample (Box-Muller). *)
 val gaussian : t -> float
-
-(** [split t] is an independently-seeded child generator. *)
-val split : t -> t

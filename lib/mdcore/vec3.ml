@@ -68,6 +68,3 @@ let axpy (arr : Fbuf.t) i s v =
   arr.{3 * i} <- arr.{3 * i} +. (s *. v.x);
   arr.{(3 * i) + 1} <- arr.{(3 * i) + 1} +. (s *. v.y);
   arr.{(3 * i) + 2} <- arr.{(3 * i) + 2} +. (s *. v.z)
-
-(** Pretty-printer: "(x, y, z)". *)
-let pp ppf a = Fmt.pf ppf "(%g, %g, %g)" a.x a.y a.z

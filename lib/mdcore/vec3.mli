@@ -52,6 +52,3 @@ val set : Fbuf.t -> int -> t -> unit
 
 (** [axpy arr i s v] adds [s*v] to vector [i] of a flat buffer. *)
 val axpy : Fbuf.t -> int -> float -> t -> unit
-
-(** Pretty-printer: "(x, y, z)". *)
-val pp : Format.formatter -> t -> unit

@@ -65,9 +65,6 @@ let apply_faults t ~slow ~stall =
   List.iter (fun (id, f) -> (cpe t id).Cpe.slow <- f) slow;
   List.iter (fun (id, s) -> (cpe t id).Cpe.stall_s <- s) stall
 
-(** [clear_faults t] heals every CPE back to nominal speed. *)
-let clear_faults t = apply_faults t ~slow:[] ~stall:[]
-
 (** [total_cost t] is the sum of all CPE costs (MPE excluded). *)
 let total_cost t =
   let acc = Cost.create () in
@@ -94,13 +91,6 @@ let dma_time t =
 let elapsed t =
   max_compute_time t +. dma_time t +. Mpe.time t.cfg t.mpe
 
-(** [elapsed_overlapped t] is the elapsed time if DMA were fully
-    double-buffered behind computation (the "full pipeline
-    acceleration" upper bound): the slower of the two phases instead of
-    their sum. *)
-let elapsed_overlapped t =
-  Float.max (max_compute_time t) (dma_time t) +. Mpe.time t.cfg t.mpe
-
 (** [load_imbalance t] is the ratio of the slowest CPE's compute time
     to the mean compute time (1.0 = perfectly balanced). *)
 let load_imbalance t =
@@ -109,11 +99,3 @@ let load_imbalance t =
   let n = float_of_int (Array.length times) in
   if sum <= 0.0 then 1.0
   else Array.fold_left Float.max 0.0 times *. n /. sum
-
-(** Pretty-printer summarizing the group's current charge. *)
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>core group: elapsed %.3e s (compute %.3e, dma %.3e, mpe %.3e), \
-     imbalance %.2f@]"
-    (elapsed t) (max_compute_time t) (dma_time t)
-    (Mpe.time t.cfg t.mpe) (load_imbalance t)

@@ -35,9 +35,6 @@ val iter_cpes : t -> (Cpe.t -> unit) -> unit
     slowdowns and (id, seconds) per-kernel stalls. *)
 val apply_faults : t -> slow:(int * float) list -> stall:(int * float) list -> unit
 
-(** [clear_faults t] heals every CPE back to nominal speed. *)
-val clear_faults : t -> unit
-
 (** [total_cost t] is the sum of all CPE costs (MPE excluded). *)
 val total_cost : t -> Cost.t
 
@@ -52,14 +49,6 @@ val dma_time : t -> float
     since the last [reset]. *)
 val elapsed : t -> float
 
-(** [elapsed_overlapped t] is the elapsed time if DMA were fully
-    double-buffered behind computation (the "full pipeline
-    acceleration" upper bound). *)
-val elapsed_overlapped : t -> float
-
 (** [load_imbalance t] is the ratio of the slowest CPE's compute time
     to the mean (1.0 = perfectly balanced). *)
 val load_imbalance : t -> float
-
-(** Pretty-printer summarizing the group's current charge. *)
-val pp : Format.formatter -> t -> unit

@@ -50,9 +50,6 @@ let reset t =
   t.mpe_flops <- 0.0;
   t.mpe_mem_bytes <- 0.0
 
-(** [copy t] is an independent snapshot of [t]. *)
-let copy t = { t with scalar_flops = t.scalar_flops }
-
 (** [add ~into src] accumulates [src] into [into]. *)
 let add ~into src =
   into.scalar_flops <- into.scalar_flops +. src.scalar_flops;
@@ -114,11 +111,3 @@ let cpe_compute_time (cfg : Config.t) t =
 let mpe_time (cfg : Config.t) t =
   (t.mpe_flops /. cfg.mpe_flops_per_cycle /. cfg.mpe_freq_hz)
   +. (t.mpe_mem_bytes /. cfg.mpe_mem_bw)
-
-(** Pretty-printer showing the main counters. *)
-let pp ppf t =
-  Fmt.pf ppf
-    "@[<v>flops=%.3e simd=%.3e int=%.3e dma=%.3e B (%.0f xfers, %.3e s) \
-     gld=%.0f gst=%.0f mpe=%.3e flops %.3e B@]"
-    t.scalar_flops t.simd_ops t.int_ops t.dma_bytes t.dma_transactions
-    t.dma_time_s t.gld_count t.gst_count t.mpe_flops t.mpe_mem_bytes

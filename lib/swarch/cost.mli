@@ -28,9 +28,6 @@ val create : unit -> t
 (** [reset t] zeroes all counters in place. *)
 val reset : t -> unit
 
-(** [copy t] is an independent snapshot of [t]. *)
-val copy : t -> t
-
 (** [add ~into src] accumulates [src] into [into]. *)
 val add : into:t -> t -> unit
 
@@ -65,6 +62,3 @@ val cpe_compute_time : Config.t -> t -> float
 (** [mpe_time cfg t] is the simulated seconds of MPE execution recorded
     in [t]. *)
 val mpe_time : Config.t -> t -> float
-
-(** Pretty-printer showing the main counters. *)
-val pp : Format.formatter -> t -> unit

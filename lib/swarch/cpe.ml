@@ -42,7 +42,7 @@ let col t = t.id mod t.mesh
 (** [reset t] clears the cost counters and releases all LDM.  Fault
     state ([slow]/[stall_s]) survives a reset on purpose: kernels reset
     the group before running, and an injected degradation must persist
-    across that (use {!Core_group.clear_faults} to heal). *)
+    across that ({!Core_group.apply_faults} heals every CPE first). *)
 let reset t =
   Cost.reset t.cost;
   Ldm.reset t.ldm

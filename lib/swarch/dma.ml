@@ -77,10 +77,6 @@ let get ?aligned cfg cost ~bytes = transfer Read ?aligned cfg cost ~bytes
     main memory to [cost].  Reads and writes share the bus model. *)
 let put ?aligned cfg cost ~bytes = transfer Write ?aligned cfg cost ~bytes
 
-(** [table cfg sizes] tabulates the modelled bandwidth (bytes/s) at each
-    size in [sizes]; used to regenerate Table 2. *)
-let table cfg sizes = List.map (fun s -> (s, bandwidth cfg s)) sizes
-
 (** [saturating_bytes cfg] is the smallest transfer size at which the
     modelled curve reaches its plateau — the last measured point
     (2 KB on the SW26010).  Staging buffers that flush at this granule

@@ -42,10 +42,6 @@ val get : ?aligned:bool -> Config.t -> Cost.t -> bytes:int -> unit
     main memory to [cost].  Reads and writes share the bus model. *)
 val put : ?aligned:bool -> Config.t -> Cost.t -> bytes:int -> unit
 
-(** [table cfg sizes] tabulates the modelled bandwidth at each size;
-    used to regenerate Table 2. *)
-val table : Config.t -> int list -> (int * float) list
-
 (** [saturating_bytes cfg] is the smallest transfer size at which the
     modelled curve reaches its plateau — the last measured point (2 KB
     on the SW26010).  Staging buffers that flush at this granule get

@@ -68,9 +68,3 @@ let ttf_ratio a b = a.miss_rate /. a.mem_bw *. (b.mem_bw /. b.miss_rate)
     fair comparison (150 vs KNL, 24 vs P100). *)
 let fair_chip_count other =
   int_of_float (Float.round (ttf_ratio sw26010 other))
-
-(** Pretty-printer for one Table 4 row. *)
-let pp ppf t =
-  Fmt.pf ppf "%-16s %6.1f Tflops  %6.0f GB/s  %-14s miss %.2f%%" t.name
-    (t.peak_flops /. 1e12) (t.mem_bw /. 1e9) t.cache_desc
-    (t.miss_rate *. 100.0)

@@ -35,6 +35,3 @@ val ttf_ratio : t -> t -> float
     aggregate TTF matches one [other] device (150 for KNL, 24 for
     P100). *)
 val fair_chip_count : t -> int
-
-(** Pretty-printer for one Table 4 row. *)
-val pp : Format.formatter -> t -> unit

@@ -27,7 +27,7 @@ let read_line_sweep ~quick () =
       let n_lines = capacity / line_elts in
       let cost = Swarch.Cost.create () in
       let rc =
-        Swcache.Read_cache.create (Common.cfg ()) cost ~backing:sys.K.pkg_aos
+        Swcache.Read_cache.create (Common.cfg ()) cost ~ways:1 ~backing:sys.K.pkg_aos
           ~elt_floats:Swgmx.Package.floats ~line_elts ~n_lines ()
       in
       (* replay the kernel's j-stream through the cache *)
@@ -116,16 +116,6 @@ let alignment ~quick () =
   in
   (run true, run false)
 
-(** [pipeline_overlap ~quick ()] bounds the gain of double-buffering
-    DMA behind computation for the Mark kernel: (serial elapsed,
-    fully-overlapped elapsed). *)
-let pipeline_overlap ~quick () =
-  let particles = if quick then 3000 else 12000 in
-  let p = Common.prepare ~particles () in
-  let cg = Swarch.Core_group.create (Common.cfg ()) in
-  ignore (Swgmx.Kernel.run p.Common.sys p.Common.pairs cg Swgmx.Variant.Mark);
-  (Swarch.Core_group.elapsed cg, Swarch.Core_group.elapsed_overlapped cg)
-
 (** One row of the overlap-schedule ablation. *)
 type overlap_row = {
   channels : float;
@@ -142,13 +132,7 @@ type overlap_row = {
     replay parameters vary, so the sweep isolates the scheduler. *)
 let overlap_schedule ~quick () =
   let particles = if quick then 3000 else 12000 in
-  let p = Common.prepare ~particles () in
-  let cg = Swarch.Core_group.create (Common.cfg ()) in
-  Swarch.Core_group.reset cg;
-  let recorder = Swsched.Recorder.create (Common.cfg ()) in
-  let spec = Swgmx.Kernel_cpe.spec_of_variant Swgmx.Variant.Mark in
-  ignore
-    (Swgmx.Kernel_cpe.run ~sched:recorder p.Common.sys p.Common.pairs cg spec);
+  let cg, recorder = Common.record_mark (Common.prepare ~particles ()) in
   let max_compute = Swarch.Core_group.max_compute_time cg in
   let dma_sum =
     Array.fold_left
@@ -224,13 +208,7 @@ type resilience_row = {
     with no injector at all. *)
 let resilience_sweep ~quick () =
   let particles = if quick then 3000 else 12000 in
-  let p = Common.prepare ~particles () in
-  let cg = Swarch.Core_group.create (Common.cfg ()) in
-  Swarch.Core_group.reset cg;
-  let recorder = Swsched.Recorder.create (Common.cfg ()) in
-  let spec = Swgmx.Kernel_cpe.spec_of_variant Swgmx.Variant.Mark in
-  ignore
-    (Swgmx.Kernel_cpe.run ~sched:recorder p.Common.sys p.Common.pairs cg spec);
+  let _, recorder = Common.record_mark (Common.prepare ~particles ()) in
   List.map
     (fun fault_rate ->
       let plan =
@@ -374,13 +352,6 @@ let run ~quick ppf =
     [
       [ "128-bit aligned"; Printf.sprintf "%.3f ms" (t_aligned *. 1e3) ];
       [ "unaligned"; Printf.sprintf "%.3f ms" (t_unaligned *. 1e3) ];
-    ];
-  let serial, overlapped = pipeline_overlap ~quick () in
-  Fmt.pf ppf "Ablation 6: DMA/compute overlap bound (Mark kernel)@.";
-  T.table ppf ~headers:[ "model"; "elapsed" ]
-    [
-      [ "synchronous DMA"; Printf.sprintf "%.3f ms" (serial *. 1e3) ];
-      [ "fully double-buffered"; Printf.sprintf "%.3f ms" (overlapped *. 1e3) ];
     ];
   Fmt.pf ppf
     "Ablation 7: scheduled DMA/compute overlap (swsched replay, Mark kernel)@.";

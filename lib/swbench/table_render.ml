@@ -46,12 +46,6 @@ let bar_chart ppf ~title ?(unit = "") items =
     items;
   Fmt.pf ppf "@."
 
-(** [series ppf ~title ~headers rows] prints aligned numeric columns
-    (e.g. scaling curves). *)
-let series ppf ~title ~headers rows =
-  Fmt.pf ppf "%s@." title;
-  table ppf ~headers rows
-
 (** [fmt_float ?(dec = 2) v] renders a float cell. *)
 let fmt_float ?(dec = 2) v = Printf.sprintf "%.*f" dec v
 

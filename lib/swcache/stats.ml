@@ -10,13 +10,6 @@ type t = {
 (** [create ()] is a zeroed counter set. *)
 let create () = { hits = 0; misses = 0; evictions = 0; writebacks = 0 }
 
-(** [reset t] zeroes all counters. *)
-let reset t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.writebacks <- 0
-
 (** [accesses t] is the total number of recorded accesses. *)
 let accesses t = t.hits + t.misses
 
@@ -29,7 +22,3 @@ let miss_ratio t =
 let hit_ratio t =
   let n = accesses t in
   if n = 0 then 0.0 else float_of_int t.hits /. float_of_int n
-
-(** Pretty-printer: "hits/misses (miss%)". *)
-let pp ppf t =
-  Fmt.pf ppf "%d/%d (%.1f%% miss)" t.hits t.misses (100.0 *. miss_ratio t)

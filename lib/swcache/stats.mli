@@ -10,9 +10,6 @@ type t = {
 (** [create ()] is a zeroed counter set. *)
 val create : unit -> t
 
-(** [reset t] zeroes all counters. *)
-val reset : t -> unit
-
 (** [accesses t] is the total number of recorded accesses. *)
 val accesses : t -> int
 
@@ -21,6 +18,3 @@ val miss_ratio : t -> float
 
 (** [hit_ratio t] is hits / accesses, or [0.] before any access. *)
 val hit_ratio : t -> float
-
-(** Pretty-printer: "hits/misses (miss%)". *)
-val pp : Format.formatter -> t -> unit

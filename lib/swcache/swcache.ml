@@ -3,10 +3,9 @@
     The paper's central memory optimizations are software caches built
     in each CPE's 64 KB LDM:
 
-    - {!Read_cache}: direct-mapped read cache over particle packages
-      (Figure 3);
-    - {!Assoc_cache}: two-way set-associative variant that eliminates
-      the cache thrashing seen during pair-list generation (Section 3.5);
+    - {!Read_cache}: read cache over particle packages, direct-mapped
+      for the force kernels (Figure 3) and two-way set-associative for
+      pair-list generation, where it ends the thrashing of Section 3.5;
     - {!Write_cache}: deferred-update write cache that accumulates
       force deltas on-chip (Figure 4), optionally with
     - {!Bitmap} update marks (Figure 5, Algorithms 3-4) that desert the
@@ -18,5 +17,4 @@
 module Stats = Stats
 module Bitmap = Bitmap
 module Read_cache = Read_cache
-module Assoc_cache = Assoc_cache
 module Write_cache = Write_cache

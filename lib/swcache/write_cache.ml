@@ -2,15 +2,16 @@
 
     Interaction updates of the same particle often recur across inner
     loops, so instead of one DMA update per pair the CPE accumulates
-    deltas in a direct-mapped LDM buffer keyed like {!Read_cache}.
+    deltas in a direct-mapped LDM buffer keyed like a one-way {!Read_cache}.
     Main memory (the CPE's redundant force copy) is touched only when a
     line is displaced or at the final flush.
 
     Two operating modes:
 
     - {b plain deferred update}: the force copy must be zero-initialized
-      up front ({!init_copy}); a displaced line is written back and the
-      incoming line is always fetched.
+      up front (the kernel charges that as whole 2 KB DMA blocks); a
+      displaced line is written back and the incoming line is always
+      fetched.
     - {b with update marks} (Algorithm 3): a {!Bitmap} records which
       memory lines have ever left the cache.  Unmarked lines are known
       to be zero, so they are initialized locally for free (no fetch),
@@ -95,19 +96,6 @@ let marks t = t.marks
 
 (** [n_elements t] is the number of elements the copy array holds. *)
 let n_elements t = Array.length t.copy / t.elt_floats
-
-(** [init_copy t] zero-fills the force copy in main memory and charges
-    the DMA writes this costs — the "initialization step" that the
-    update-mark strategy deserts.  Transfers go out in 2 KB blocks. *)
-let init_copy t =
-  Array.fill t.copy 0 (Array.length t.copy) 0.0;
-  let total = Array.length t.copy * 4 in
-  let block = 2048 in
-  let full = total / block and rest = total mod block in
-  for _ = 1 to full do
-    Swarch.Dma.put t.cfg t.cost ~bytes:block
-  done;
-  if rest > 0 then Swarch.Dma.put t.cfg t.cost ~bytes:rest
 
 let write_back t line =
   let tag = t.tags.(line) in

@@ -52,11 +52,6 @@ val marks : t -> Bitmap.t option
 (** [n_elements t] is the number of elements the copy array holds. *)
 val n_elements : t -> int
 
-(** [init_copy t] zero-fills the force copy in main memory and charges
-    the DMA writes this costs — the "initialization step" that the
-    update-mark strategy deserts. *)
-val init_copy : t -> unit
-
 (** [accumulate t i j delta] adds [delta] to float [j] of element [i]
     through the cache (one deferred update). *)
 val accumulate : t -> int -> int -> float -> unit

@@ -62,6 +62,3 @@ let halo_atoms ~atoms_per_rank ~rcut ~domain_edge =
   else
     let frac = Float.min 1.0 (rcut /. domain_edge) in
     int_of_float (Float.ceil (float_of_int atoms_per_rank *. frac))
-
-(** Pretty-printer: "8 x 8 x 8". *)
-let pp ppf t = Fmt.pf ppf "%d x %d x %d" t.nx t.ny t.nz

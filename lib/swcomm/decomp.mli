@@ -20,6 +20,3 @@ val halo_partners : t -> int
 (** [halo_atoms ~atoms_per_rank ~rcut ~domain_edge] estimates the atoms
     in one face halo (slab of thickness [rcut]). *)
 val halo_atoms : atoms_per_rank:int -> rcut:float -> domain_edge:float -> int
-
-(** Pretty-printer: "8 x 8 x 8". *)
-val pp : Format.formatter -> t -> unit

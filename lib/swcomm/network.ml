@@ -77,16 +77,3 @@ let allreduce t transport ~ranks ~bytes =
     done;
     !acc
   end
-
-(** [alltoall t transport ~ranks ~bytes_per_rank] models the pairwise
-    exchange used by the parallel PME transpose. *)
-let alltoall t transport ~ranks ~bytes_per_rank =
-  if ranks <= 1 then 0.0
-  else begin
-    let acc = ref 0.0 in
-    for step = 1 to ranks - 1 do
-      let cross = step >= t.supernode in
-      acc := !acc +. message t transport ~bytes:bytes_per_rank ~cross_supernode:cross
-    done;
-    !acc
-  end

@@ -31,7 +31,3 @@ val message : t -> transport -> bytes:int -> cross_supernode:bool -> float
 (** [allreduce t transport ~ranks ~bytes] is the time of a recursive-
     doubling allreduce over [ranks] processes. *)
 val allreduce : t -> transport -> ranks:int -> bytes:int -> float
-
-(** [alltoall t transport ~ranks ~bytes_per_rank] models the pairwise
-    exchange used by the parallel PME transpose. *)
-val alltoall : t -> transport -> ranks:int -> bytes_per_rank:int -> float

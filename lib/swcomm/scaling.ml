@@ -20,6 +20,8 @@ type point = {
     dimension from the box edge. *)
 let fourier_spacing = 0.12
 
+(** [grid_for edge] is the PME mesh dimension for a cubic box of edge
+    [edge] nm at {!fourier_spacing} (at least 16 points). *)
 let grid_for edge = max 16 (int_of_float (Float.ceil (edge /. fourier_spacing)))
 
 (** [step_time ?net ~compute ~transport ~total_atoms ~rcut ~box_edge

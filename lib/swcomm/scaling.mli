@@ -11,6 +11,10 @@ type point = {
 (** GROMACS's default PME Fourier spacing (nm). *)
 val fourier_spacing : float
 
+(** [grid_for edge] is the PME mesh dimension for a cubic box of edge
+    [edge] nm at {!fourier_spacing} (at least 16 points). *)
+val grid_for : float -> int
+
 (** [step_time ?net ~compute ~transport ~total_atoms ~rcut ~box_edge
     cgs] is the modelled per-step wall time at [cgs] core groups;
     [compute atoms_per_cg] supplies the on-chip time. *)

@@ -268,26 +268,3 @@ let partition_alive n_clusters ~alive cpe =
   match rank 0 with
   | None -> (0, 0)
   | Some k -> partition n_clusters n_alive k
-
-(** [window pairs ~lo ~hi ~n_clusters] is the smallest {e line-aligned}
-    cluster interval [wlo, whi) containing every j-cluster reachable
-    from i-clusters [lo, hi) — the span of the per-CPE force copy.
-    Alignment to {!write_line_elts} keeps copy lines congruent with
-    global reduction lines. *)
-let window (pairs : Mdcore.Pair_list.t) ~lo ~hi ~n_clusters =
-  if lo >= hi then (0, 0)
-  else begin
-    let wlo = ref lo and whi = ref hi in
-    for ci = lo to hi - 1 do
-      Mdcore.Pair_list.iter_ci pairs ci (fun cj ->
-          if cj < !wlo then wlo := cj;
-          if cj + 1 > !whi then whi := cj + 1)
-    done;
-    let wlo = !wlo / write_line_elts * write_line_elts in
-    let whi =
-      min
-        ((n_clusters + write_line_elts - 1) / write_line_elts * write_line_elts)
-        ((!whi + write_line_elts - 1) / write_line_elts * write_line_elts)
-    in
-    (wlo, whi)
-  end

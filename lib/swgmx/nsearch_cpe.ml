@@ -11,8 +11,8 @@
     i-cluster's package, grid-cell metadata, and candidate j-packages —
     which is exactly the pattern that thrashes a direct-mapped cache
     (the paper measured >85% misses) and that a two-way associative
-    cache fixes (~10%). Both cache types are available so the
-    experiment can be reproduced. *)
+    cache fixes (~10%). The two kinds are the same {!Swcache.Read_cache}
+    with one and with two ways, so the experiment can be reproduced. *)
 
 module K = Kernel_common
 module Cluster = Mdcore.Cluster
@@ -115,34 +115,19 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
         let ldm = cpe.Swarch.Cpe.ldm in
         let out_bytes = out_buffer_bytes cfg in
         Swoffload.Offload.scratch env out_bytes;
-        (* one shared cache over the combined address space, split
-           into the two associativity flavours *)
-        (* both flavours span the same LDM capacity: depth follows the
-           platform (256 two-package lines / 128 two-way sets on the
-           SW26010's 64 KB LDM) *)
-        let cap = cache_capacity_elts cfg in
-        let touch, stats, release =
-          match kind with
-          | Direct_mapped ->
-              let rc =
-                Swcache.Read_cache.create cfg cost ~ldm ~backing:space
-                  ~elt_floats:Package.floats ~line_elts:2 ~n_lines:(cap / 2) ()
-              in
-              ( (fun i -> ignore (Swcache.Read_cache.touch rc i)),
-                Swcache.Read_cache.stats rc,
-                fun () -> Swcache.Read_cache.release rc )
-          | Two_way ->
-              let ac =
-                Swcache.Assoc_cache.create cfg cost ~backing:space
-                  ~elt_floats:Package.floats ~line_elts:2 ~n_sets:(cap / 4) ()
-              in
-              Swoffload.Offload.scratch env
-                (Swcache.Assoc_cache.footprint_bytes ~elt_floats:Package.floats
-                   ~line_elts:2 ~n_sets:(cap / 4));
-              ( (fun i -> ignore (Swcache.Assoc_cache.touch ac i)),
-                Swcache.Assoc_cache.stats ac,
-                fun () -> () )
+        (* one shared cache over the combined address space; both
+           associativities span the same LDM capacity: depth follows
+           the platform (256 two-package lines on the SW26010's 64 KB
+           LDM, as 256 sets or 128 two-way sets).  The block driver
+           resets the LDM after the slice, so the cache is not
+           released here. *)
+        let cache =
+          Swcache.Read_cache.create cfg cost ~ldm
+            ~ways:(match kind with Direct_mapped -> 1 | Two_way -> 2)
+            ~backing:space ~elt_floats:Package.floats ~line_elts:2
+            ~n_lines:(cache_capacity_elts cfg / 2) ()
         in
+        let touch i = ignore (Swcache.Read_cache.touch cache i) in
         let out_fill = ref 0 in
         let emit () =
           (* stage a j index; flush the LDM buffer when full *)
@@ -207,8 +192,7 @@ let run sys (cg : Swarch.Core_group.t) ~kind ~rlist =
           lists.(ci) <- List.sort compare !acc
         done;
         if !out_fill > 0 then Dma.put cfg cost ~bytes:!out_fill;
-        l_stats.(cpe.Swarch.Cpe.id) <- Some stats;
-        release ()
+        l_stats.(cpe.Swarch.Cpe.id) <- Some (Swcache.Read_cache.stats cache)
       end;
       l_candidates.(cpe.Swarch.Cpe.id) <- !candidates;
       l_accepted.(cpe.Swarch.Cpe.id) <- !accepted

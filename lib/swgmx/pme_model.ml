@@ -32,7 +32,3 @@ let cpe_time (cfg : Swarch.Config.t) ~n_atoms ~grid =
   let cpes = float_of_int cfg.Swarch.Config.cpe_count in
   (flops ~n_atoms ~grid /. (cpes *. 2.0) /. cfg.Swarch.Config.cpe_freq_hz)
   +. (3.0 *. grid_bytes ~grid /. Swarch.Config.peak_dma_bw cfg)
-
-(** [grid_for ~box_edge] picks the mesh dimension for a cubic box at
-    GROMACS's default ~0.12 nm Fourier spacing. *)
-let grid_for ~box_edge = max 16 (int_of_float (Float.ceil (box_edge /. 0.12)))

@@ -177,15 +177,6 @@ let tile t i =
   let start = i * t.tile_items in
   { index = i; start; items = min t.tile_items (t.n_items - start) }
 
-(** [partition t n_cpes id] is the contiguous tile range [lo, hi) CPE
-    [id] owns — the same ceil-divided static striping the MD slab walk
-    uses, expressed over tiles. *)
-let partition t n_cpes id =
-  let per = (t.n_tiles + n_cpes - 1) / n_cpes in
-  let lo = min t.n_tiles (id * per) in
-  let hi = min t.n_tiles (lo + per) in
-  (lo, hi)
-
 let pp ppf t =
   Fmt.pf ppf
     "plan %s: %d items, %d-item tiles x %d (remainder %d), %d B/tile x %d \

@@ -15,8 +15,8 @@
     The replay never reorders physics — it only re-times the recorded
     operations — so the scheduled elapsed time is a bound-respecting
     estimate: at least [max compute] and at least
-    [total demand / channels], i.e. never below
-    {!Swarch.Core_group.elapsed_overlapped}'s ideal. *)
+    [total demand / channels], i.e. never below the ideal overlap
+    [max (Core_group.max_compute_time) (Core_group.dma_time)]. *)
 
 type span = {
   track : int;

@@ -39,11 +39,3 @@ let end_time e = e.t +. e.dur
 (** [arg e key] looks a payload value up, [0.] if absent. *)
 let arg e key =
   match List.assoc_opt key e.args with Some v -> v | None -> 0.0
-
-let pp ppf e =
-  let k =
-    match e.kind with Span -> "span" | Counter -> "ctr" | Instant -> "inst"
-  in
-  Fmt.pf ppf "@[[%a] %s %s/%s t=%.3e dur=%.3e v=%g@]" Track.pp e.track k
-    (if e.cat = "" then "-" else e.cat)
-    e.name e.t e.dur e.value

@@ -79,5 +79,3 @@ let name = function
   | Cpe i -> Printf.sprintf "CPE %02d" i
   | Net -> "network"
   | Fault -> "fault"
-
-let pp ppf t = Fmt.string ppf (name t)

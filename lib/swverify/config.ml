@@ -37,12 +37,6 @@ let cfg t : Swarch.Config.t =
     [Overlap] changes the swstep plan, not the kernel path. *)
 let pipelined t = t.sched = Pipelined
 
-(** [plan t] maps the schedule onto the swstep plan. *)
-let plan t =
-  match t.sched with
-  | Serial | Pipelined -> Swstep.Plan.Serial
-  | Overlap -> Swstep.Plan.Overlap
-
 (** The config axes a property actually reads; the runner collapses
     the sweep matrix along the axes a property ignores. *)
 type axis = Platform_axis | Sched_axis | Domains_axis

@@ -179,9 +179,9 @@ let qalloc_per_interaction_zero =
    and scratch registers — and the pair list the search returns.  The
    3k system has ~320k vector blocks per call at 4 lanes, so one boxed
    float per block adds over half a megaword and trips the gate.  The
-   MPE-only Ori kernel allocates only its 9k-word result force array,
-   which [Gc.quick_stat] folds in lazily (the gate reads ~0); one boxed
-   float per cluster pair (79k of them) trips its budget. *)
+   MPE-only Ori kernel allocates only its 9k-word result force array
+   (the gate reads 0.009); one boxed float per cluster pair (79k of
+   them) trips its budget. *)
 let prepared_on platform =
   lazy
     (let saved = Swbench.Common.cfg () in
@@ -196,9 +196,6 @@ let pro = prepared_on Swarch.Platform.sw26010_pro
 let force_path_words system f =
   let platform, p = Lazy.force system in
   let cg = Swarch.Core_group.create platform in
-  (* empty the minor heap first: a minor collection inside the window
-     would charge it whatever the lazy set-up left there *)
-  Gc.minor ();
   Swbench.Alloc.words (Swbench.Alloc.measure ~warmup:1 ~steps:2 (fun () -> f p cg))
 
 let kernel_words system variant =
@@ -212,6 +209,41 @@ let nsearch_words system =
       ignore
         (Swgmx.Nsearch_cpe.run p.Swbench.Common.sys cg ~kind:Swgmx.Nsearch_cpe.Two_way
            ~rlist:p.Swbench.Common.rcut))
+
+(* The meter itself: a step that allocates one 10,000-float array
+   (10,001 words, straight to the major heap) must read as that, not
+   as 0 or as a neighbour's garbage, which is what an unbracketed
+   [Gc.quick_stat] read gave. *)
+let test_alloc_measure_counts_major () =
+  let keep = ref [||] in
+  let s =
+    Swbench.Alloc.measure ~warmup:1 ~steps:3 (fun () ->
+        keep := Array.make 10_000 0.0)
+  in
+  let w = Swbench.Alloc.words s in
+  if w < 10_000.0 || w > 11_000.0 then
+    Alcotest.failf "Array.make 10_000 0.0 reads %.0f words per step" w
+
+(* ... on every domain: the same two arrays, one per item of a striped
+   walk, read the same at one and at two domains, although at two the
+   second array comes from a worker domain (which [Gc.counters] would
+   not see). *)
+let test_alloc_measure_counts_workers () =
+  let keep = Array.make 2 [||] in
+  List.iter
+    (fun d ->
+      with_domains d (fun () ->
+          let s =
+            Swbench.Alloc.measure ~warmup:1 ~steps:3 (fun () ->
+                Swpar.Pool.iter_stripes ~n:2 (fun ~shard:_ ~lo ~hi ->
+                    for i = lo to hi - 1 do
+                      keep.(i) <- Array.make 10_000 0.0
+                    done))
+          in
+          let w = Swbench.Alloc.words s in
+          if w < 20_000.0 || w > 21_000.0 then
+            Alcotest.failf "two 10k-float arrays at domains=%d read %.0f words" d w))
+    [ 1; 2 ]
 
 let gate_case name ~budget_mwords words =
   Alcotest.test_case name `Quick (fun () ->
@@ -257,6 +289,10 @@ let suites =
     ( "alloc.gate",
       Alcotest.test_case "nonbonded step under pinned budget" `Quick
         test_step_alloc_budget
+      :: Alcotest.test_case "meter reads a 10k-float array per step" `Quick
+           test_alloc_measure_counts_major
+      :: Alcotest.test_case "meter counts worker-domain allocation" `Quick
+           test_alloc_measure_counts_workers
       :: List.map QCheck_alcotest.to_alcotest [ qalloc_per_interaction_zero ]
       @ force_path_gates );
   ]

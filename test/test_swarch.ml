@@ -74,15 +74,20 @@ let test_dma_unaligned_penalty () =
   Alcotest.(check bool) "unaligned slower" true (cu.Cost.dma_time_s > ca.Cost.dma_time_s);
   check_float "same bytes" ca.Cost.dma_bytes cu.Cost.dma_bytes
 
-let test_cg_overlapped_bound () =
+let test_cg_elapsed_parts () =
   let g = Core_group.create Config.default in
   Cost.flops (Core_group.cpe g 0).Cpe.cost 1.45e9;
   Dma.get Config.default (Core_group.cpe g 1).Cpe.cost ~bytes:2048;
-  let serial = Core_group.elapsed g in
-  let overlapped = Core_group.elapsed_overlapped g in
-  Alcotest.(check bool) "overlap never slower" true (overlapped <= serial);
-  (* compute (1 s) dominates the one small transfer *)
-  check_float "overlap = max phase" 1.0 overlapped
+  (* compute (1 s) on one CPE, one small transfer on another: the
+     serial elapsed is the critical path plus the bus time *)
+  check_float "critical path" 1.0 (Core_group.max_compute_time g);
+  check_float "bus time"
+    (Dma.transfer_time Config.default 2048 /. Config.default.Config.dma_channels)
+    (Core_group.dma_time g);
+  Alcotest.(check (float 0.0)) "elapsed = compute + DMA + MPE"
+    (Core_group.max_compute_time g +. Core_group.dma_time g
+    +. Mpe.time Config.default g.Core_group.mpe)
+    (Core_group.elapsed g)
 
 let prop_dma_bigger_never_slower =
   QCheck.Test.make ~name:"dma: time grows with size" ~count:200
@@ -616,7 +621,7 @@ let suites =
         Alcotest.test_case "elapsed combines phases" `Quick test_cg_elapsed_combines;
         Alcotest.test_case "reset" `Quick test_cg_reset;
         Alcotest.test_case "imbalance metric" `Quick test_cg_imbalance;
-        Alcotest.test_case "overlapped elapsed bound" `Quick test_cg_overlapped_bound;
+        Alcotest.test_case "elapsed = compute + DMA + MPE" `Quick test_cg_elapsed_parts;
         Alcotest.test_case "cpe mesh position" `Quick test_cpe_mesh_position;
         Alcotest.test_case "chip peak ~3 Tflops" `Quick test_chip_peak_flops;
       ] );

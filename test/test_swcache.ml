@@ -97,7 +97,7 @@ let mk_backing n elt_floats =
 let test_rc_returns_backing_values () =
   let backing = mk_backing 256 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   for i = 0 to 255 do
     for j = 0 to 3 do
       check_float "value through cache" backing.((i * 4) + j) (Read_cache.get rc i j)
@@ -108,7 +108,7 @@ let test_rc_sequential_hits () =
   (* Sequential access over one line: 1 miss then 7 hits per line. *)
   let backing = mk_backing 128 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   for i = 0 to 127 do ignore (Read_cache.touch rc i) done;
   let s = Read_cache.stats rc in
   Alcotest.(check int) "16 misses" 16 s.Stats.misses;
@@ -117,7 +117,7 @@ let test_rc_sequential_hits () =
 let test_rc_repeated_access_hits () =
   let backing = mk_backing 64 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   ignore (Read_cache.touch rc 5);
   let before = (Read_cache.stats rc).Stats.misses in
   for _ = 1 to 100 do ignore (Read_cache.touch rc 5) done;
@@ -128,7 +128,7 @@ let test_rc_thrashing_conflict () =
      displace each other in a direct-mapped cache. *)
   let backing = mk_backing 512 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   (* element 0 -> mem line 0 -> cache line 0; element 1024/8=... use i=0 and i=8*16=128 *)
   for _ = 1 to 10 do
     ignore (Read_cache.touch rc 0);
@@ -139,7 +139,7 @@ let test_rc_thrashing_conflict () =
 let test_rc_miss_charges_dma () =
   let backing = mk_backing 64 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   ignore (Read_cache.touch rc 0);
   Alcotest.(check int) "one transfer" 1 (Cost.transactions cost);
   check_float "line bytes" (float_of_int (8 * 4 * 4)) cost.Cost.dma_bytes
@@ -148,8 +148,8 @@ let test_rc_ldm_accounting () =
   let ldm = Ldm.create ~capacity:65536 in
   let backing = mk_backing 64 4 in
   let cost = Cost.create () in
-  let rc = Read_cache.create cfg cost ~ldm ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
-  let expect = Read_cache.footprint_bytes ~elt_floats:4 ~line_elts:8 ~n_lines:16 in
+  let rc = Read_cache.create cfg cost ~ldm ~ways:1 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  let expect = Read_cache.footprint_bytes ~ways:1 ~elt_floats:4 ~line_elts:8 ~n_lines:16 in
   Alcotest.(check int) "allocated" expect (Ldm.used ldm);
   Read_cache.release rc;
   Alcotest.(check int) "released" 0 (Ldm.used ldm)
@@ -160,7 +160,7 @@ let test_rc_too_big_for_ldm () =
   let cost = Cost.create () in
   Alcotest.(check bool) "raises Out_of_ldm" true
     (try
-       ignore (Read_cache.create cfg cost ~ldm ~backing ~elt_floats:4 ~line_elts:64 ~n_lines:64 ());
+       ignore (Read_cache.create cfg cost ~ldm ~ways:1 ~backing ~elt_floats:4 ~line_elts:64 ~n_lines:64 ());
        false
      with Ldm.Out_of_ldm _ -> true)
 
@@ -169,7 +169,7 @@ let test_rc_rejects_non_pow2 () =
   let cost = Cost.create () in
   Alcotest.(check bool) "non-pow2 line" true
     (try
-       ignore (Read_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:7 ~n_lines:16 ());
+       ignore (Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:4 ~line_elts:7 ~n_lines:16 ());
        false
      with Invalid_argument _ -> true)
 
@@ -179,20 +179,19 @@ let prop_rc_transparent =
     (fun ixs ->
       let backing = mk_backing 256 2 in
       let cost = Cost.create () in
-      let rc = Read_cache.create cfg cost ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:8 () in
+      let rc = Read_cache.create cfg cost ~ways:1 ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:8 () in
       List.for_all
         (fun i -> Read_cache.get rc i 0 = backing.(i * 2) && Read_cache.get rc i 1 = backing.((i * 2) + 1))
         ixs)
 
-(* ------------------------------------------------------------------ *)
-(* Assoc_cache *)
+(* The same cache with two ways (Section 3.5) *)
 
 let test_ac_returns_backing_values () =
   let backing = mk_backing 256 4 in
   let cost = Cost.create () in
-  let ac = Assoc_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_sets:8 () in
+  let ac = Read_cache.create cfg cost ~ways:2 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   for i = 0 to 255 do
-    check_float "value" backing.(i * 4) (Assoc_cache.get ac i 0)
+    check_float "value" backing.(i * 4) (Read_cache.get ac i 0)
   done
 
 let test_ac_fixes_thrashing () =
@@ -200,49 +199,97 @@ let test_ac_fixes_thrashing () =
      (Section 3.5) hits in a two-way cache after the first round. *)
   let backing = mk_backing 512 4 in
   let cost = Cost.create () in
-  let ac = Assoc_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_sets:16 () in
+  let ac = Read_cache.create cfg cost ~ways:2 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:32 () in
   for _ = 1 to 10 do
-    ignore (Assoc_cache.touch ac 0);
-    ignore (Assoc_cache.touch ac 128)
+    ignore (Read_cache.touch ac 0);
+    ignore (Read_cache.touch ac 128)
   done;
-  Alcotest.(check int) "only 2 cold misses" 2 (Assoc_cache.stats ac).Stats.misses
+  Alcotest.(check int) "only 2 cold misses" 2 (Read_cache.stats ac).Stats.misses
 
 let test_ac_three_way_conflict_still_misses () =
   let backing = mk_backing 3072 4 in
   let cost = Cost.create () in
-  let ac = Assoc_cache.create cfg cost ~backing ~elt_floats:4 ~line_elts:8 ~n_sets:8 () in
+  let ac = Read_cache.create cfg cost ~ways:2 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
   (* three streams mapping to set 0: elements 0, 512, 1024 (mem lines 0, 64, 128) *)
   for _ = 1 to 5 do
-    ignore (Assoc_cache.touch ac 0);
-    ignore (Assoc_cache.touch ac 512);
-    ignore (Assoc_cache.touch ac 1024)
+    ignore (Read_cache.touch ac 0);
+    ignore (Read_cache.touch ac 512);
+    ignore (Read_cache.touch ac 1024)
   done;
   Alcotest.(check bool) "lru keeps missing" true
-    ((Assoc_cache.stats ac).Stats.misses > 10)
+    ((Read_cache.stats ac).Stats.misses > 10)
+
+let test_ac_lru_victim () =
+  (* elements 0, 64 and 128 share set 0 of 8 two-way sets: after 0, 64
+     and a re-touch of 0, way 1 (holding 64) is least recently used, so
+     128 evicts 64 and 0 still hits *)
+  let backing = mk_backing 256 4 in
+  let cost = Cost.create () in
+  let ac = Read_cache.create cfg cost ~ways:2 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  List.iter (fun i -> ignore (Read_cache.touch ac i)) [ 0; 64; 0; 128; 0 ];
+  let s = Read_cache.stats ac in
+  Alcotest.(check (pair int int)) "hits, misses" (2, 3) (s.Stats.hits, s.Stats.misses);
+  Alcotest.(check int) "one eviction" 1 s.Stats.evictions;
+  ignore (Read_cache.touch ac 64);
+  Alcotest.(check int) "64 was the victim" 4 (Read_cache.stats ac).Stats.misses
+
+let test_rc_tag_ops_per_way () =
+  (* Fig 3's address split is 4 integer ops; the second way's tag
+     compare is one more *)
+  let backing = mk_backing 64 4 in
+  List.iter
+    (fun (ways, per_access) ->
+      let cost = Cost.create () in
+      let rc = Read_cache.create cfg cost ~ways ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+      for i = 0 to 9 do ignore (Read_cache.touch rc i) done;
+      check_float (Printf.sprintf "%d-way int ops" ways) (10.0 *. per_access) cost.Cost.int_ops)
+    [ (1, 4.0); (2, 5.0) ]
+
+let test_ac_ldm_footprint () =
+  (* same lines and tags as one way, plus one LRU byte per set *)
+  let ldm = Ldm.create ~capacity:65536 in
+  let backing = mk_backing 64 4 in
+  let rc = Read_cache.create cfg (Cost.create ()) ~ldm ~ways:2 ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 () in
+  Alcotest.(check int) "allocated"
+    (Read_cache.footprint_bytes ~ways:1 ~elt_floats:4 ~line_elts:8 ~n_lines:16 + 8)
+    (Ldm.used ldm);
+  Read_cache.release rc;
+  Alcotest.(check int) "released" 0 (Ldm.used ldm)
+
+let test_rc_rejects_other_ways () =
+  let backing = mk_backing 64 4 in
+  List.iter
+    (fun ways ->
+      Alcotest.(check bool) (Printf.sprintf "%d ways rejected" ways) true
+        (try
+           ignore (Read_cache.create cfg (Cost.create ()) ~ways ~backing ~elt_floats:4 ~line_elts:8 ~n_lines:16 ());
+           false
+         with Invalid_argument _ -> true))
+    [ 0; 3; 4; -1 ]
 
 let prop_ac_transparent =
-  QCheck.Test.make ~name:"assoc cache: any access sequence reads backing values" ~count:100
+  QCheck.Test.make ~name:"two-way read cache: any access sequence reads backing values" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 200) (int_range 0 255))
     (fun ixs ->
       let backing = mk_backing 256 2 in
       let cost = Cost.create () in
-      let ac = Assoc_cache.create cfg cost ~backing ~elt_floats:2 ~line_elts:4 ~n_sets:4 () in
-      List.for_all (fun i -> Assoc_cache.get ac i 0 = backing.(i * 2)) ixs)
+      let ac = Read_cache.create cfg cost ~ways:2 ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:8 () in
+      List.for_all (fun i -> Read_cache.get ac i 0 = backing.(i * 2)) ixs)
 
 let prop_ac_no_worse_than_direct =
-  QCheck.Test.make ~name:"assoc cache: never more misses than direct-mapped of same size"
+  QCheck.Test.make ~name:"read cache: two ways never more misses than one of same size"
     ~count:50
     QCheck.(list_of_size (QCheck.Gen.int_range 1 300) (int_range 0 511))
     (fun ixs ->
       let backing = mk_backing 512 2 in
       let c1 = Cost.create () and c2 = Cost.create () in
       (* same capacity: 16 direct lines vs 8 two-way sets *)
-      let rc = Read_cache.create cfg c1 ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:16 () in
-      let ac = Assoc_cache.create cfg c2 ~backing ~elt_floats:2 ~line_elts:4 ~n_sets:8 () in
-      List.iter (fun i -> ignore (Read_cache.touch rc i); ignore (Assoc_cache.touch ac i)) ixs;
+      let rc = Read_cache.create cfg c1 ~ways:1 ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:16 () in
+      let ac = Read_cache.create cfg c2 ~ways:2 ~backing ~elt_floats:2 ~line_elts:4 ~n_lines:16 () in
+      List.iter (fun i -> ignore (Read_cache.touch rc i); ignore (Read_cache.touch ac i)) ixs;
       (* not a theorem for adversarial traces (LRU anomalies exist);
          treat as a regression net with slack *)
-      let da = (Assoc_cache.stats ac).Stats.misses
+      let da = (Read_cache.stats ac).Stats.misses
       and dd = (Read_cache.stats rc).Stats.misses in
       da <= dd + (dd / 4) + 12)
 
@@ -253,7 +300,6 @@ let test_wc_accumulates_into_copy () =
   let copy = Array.make (64 * 3) 0.0 in
   let cost = Cost.create () in
   let wc = Write_cache.create cfg cost ~with_marks:false ~copy ~elt_floats:3 ~line_elts:4 ~n_lines:4 () in
-  Write_cache.init_copy wc;
   Write_cache.accumulate3 wc 10 1.0 2.0 3.0;
   Write_cache.accumulate3 wc 10 1.0 2.0 3.0;
   Write_cache.flush wc;
@@ -330,14 +376,6 @@ let test_wc_marked_refetch_accumulates () =
   Write_cache.flush wc;
   check_float "accumulated across eviction" 2.0 copy.(0)
 
-let test_wc_init_copy_charges_dma () =
-  let copy = Array.make 2048 1.0 in
-  let cost = Cost.create () in
-  let wc = Write_cache.create cfg cost ~with_marks:false ~copy ~elt_floats:4 ~line_elts:4 ~n_lines:4 () in
-  Write_cache.init_copy wc;
-  Alcotest.(check bool) "copy zeroed" true (Array.for_all (fun x -> x = 0.0) copy);
-  Alcotest.(check int) "2048 floats = 8192 B = 4 blocks" 4 (Cost.transactions cost)
-
 let prop_wc_sum_preserved =
   (* The fundamental invariant of deferred update: after flush, the
      copy holds exactly the sum of all accumulated deltas, for any
@@ -350,7 +388,6 @@ let prop_wc_sum_preserved =
       let expect = Array.make 128 0.0 in
       let cost = Cost.create () in
       let wc = Write_cache.create cfg cost ~with_marks ~copy ~elt_floats:3 ~line_elts:4 ~n_lines:4 () in
-      if not with_marks then Write_cache.init_copy wc;
       List.iter
         (fun (i, d) ->
           expect.(i) <- expect.(i) +. d;
@@ -371,8 +408,7 @@ let prop_wc_marks_never_more_dma =
         let copy = Array.make (128 * 3) 0.0 in
         let cost = Cost.create () in
         let wc = Write_cache.create cfg cost ~with_marks ~copy ~elt_floats:3 ~line_elts:4 ~n_lines:4 () in
-        if not with_marks then Write_cache.init_copy wc;
-        List.iter (fun i -> Write_cache.accumulate3 wc i 1.0 1.0 1.0) ixs;
+          List.iter (fun i -> Write_cache.accumulate3 wc i 1.0 1.0 1.0) ixs;
         Write_cache.flush wc;
         (Cost.transactions cost)
       in
@@ -409,12 +445,13 @@ let suites =
         Alcotest.test_case "LDM accounting" `Quick test_rc_ldm_accounting;
         Alcotest.test_case "oversized cache rejected by LDM" `Quick test_rc_too_big_for_ldm;
         Alcotest.test_case "non-power-of-two rejected" `Quick test_rc_rejects_non_pow2;
-      ] );
-    ( "swcache.assoc_cache",
-      [
-        Alcotest.test_case "transparent reads" `Quick test_ac_returns_backing_values;
+        Alcotest.test_case "ways other than 1 and 2 rejected" `Quick test_rc_rejects_other_ways;
+        Alcotest.test_case "tag math: 4 int ops, 5 with two ways" `Quick test_rc_tag_ops_per_way;
+        Alcotest.test_case "two-way: transparent reads" `Quick test_ac_returns_backing_values;
         Alcotest.test_case "two-way fixes Fig 3 thrashing" `Quick test_ac_fixes_thrashing;
-        Alcotest.test_case "3-way conflict still misses" `Quick test_ac_three_way_conflict_still_misses;
+        Alcotest.test_case "two-way: 3-way conflict still misses" `Quick test_ac_three_way_conflict_still_misses;
+        Alcotest.test_case "two-way: LRU picks the victim" `Quick test_ac_lru_victim;
+        Alcotest.test_case "two-way: LDM footprint adds LRU bytes" `Quick test_ac_ldm_footprint;
       ] );
     ( "swcache.write_cache",
       [
@@ -425,7 +462,6 @@ let suites =
         Alcotest.test_case "plain mode always fetches" `Quick test_wc_no_marks_always_fetch;
         Alcotest.test_case "marks record written lines" `Quick test_wc_mark_records_written_lines;
         Alcotest.test_case "marked refetch accumulates" `Quick test_wc_marked_refetch_accumulates;
-        Alcotest.test_case "init_copy charges DMA" `Quick test_wc_init_copy_charges_dma;
       ] );
     ("swcache.properties", qsuite);
   ]

@@ -154,7 +154,7 @@ let qpartition_cover =
       | Ok p ->
           let covered = ref 0 and ok = ref true in
           for id = 0 to n_cpes - 1 do
-            let lo, hi = Plan.partition p n_cpes id in
+            let lo, hi = Swgmx.Kernel_common.partition p.Plan.n_tiles n_cpes id in
             if lo <> min !covered p.Plan.n_tiles || hi < lo then ok := false;
             covered := max !covered hi
           done;
@@ -275,7 +275,7 @@ let probe_kernel ?(phase = "probe") ?(hook = fun _ _ -> ()) plan n_cpes pr =
   {
     Offload.plan;
     phase;
-    partition = Plan.partition plan n_cpes;
+    partition = Swgmx.Kernel_common.partition plan.Plan.n_tiles n_cpes;
     setup =
       (fun env ->
         let c = id env in
@@ -352,7 +352,7 @@ let test_run_walks_tiles () =
   let computed = Array.make plan.Plan.n_tiles 0 in
   let busy = ref 0 and multi = ref 0 in
   for c = 0 to n_cpes - 1 do
-    let lo, hi = Plan.partition plan n_cpes c in
+    let lo, hi = Swgmx.Kernel_common.partition plan.Plan.n_tiles n_cpes c in
     let expect =
       List.concat
         (List.init (hi - lo) (fun i -> [ ('f', lo + i); ('c', lo + i) ]))
@@ -471,7 +471,7 @@ let test_run_recorded_program () =
         (List.map (fun (t : Swsched.Recorder.task) -> t.Swsched.Recorder.id) tasks);
       List.iter
         (fun (t : Swsched.Recorder.task) ->
-          let lo, hi = Plan.partition plan n_cpes t.Swsched.Recorder.id in
+          let lo, hi = Swgmx.Kernel_common.partition plan.Plan.n_tiles n_cpes t.Swsched.Recorder.id in
           Alcotest.(check int) "slot depth" plan.Plan.spec.Plan.slots
             t.Swsched.Recorder.buffers;
           Alcotest.(check (list (list int)))

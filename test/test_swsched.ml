@@ -276,7 +276,13 @@ let test_scheduled_between_bounds () =
           p.Swbench.Common.pairs cg Swgmx.Variant.Mark
       in
       let serial = Swarch.Core_group.elapsed cg in
-      let overlapped = Swarch.Core_group.elapsed_overlapped cg in
+      (* ideal overlap: the slower of compute and DMA, then the MPE *)
+      let overlapped =
+        Float.max
+          (Swarch.Core_group.max_compute_time cg)
+          (Swarch.Core_group.dma_time cg)
+        +. Swarch.Mpe.time cfg cg.Swarch.Core_group.mpe
+      in
       if
         not
           (o.Swgmx.Kernel.elapsed > overlapped
